@@ -16,12 +16,12 @@ from .hydro import (FlowCondition, ResistanceGrid, friction_coefficient,
                     friction_resistance, froude_number, interpolate_rw,
                     michell_wave_resistance, predicted_total_resistance,
                     resistance_grid, total_resistance_coefficient)
-from .dataset import (HullRecord, Normalizer, TrainingRow, build_dataset,
-                      fit_normalizer, sample_random_hull, sample_training_row)
+from .dataset import (HullRecord, Normalizer, build_dataset, fit_normalizer,
+                      sample_random_hull)
 from .neural import MlpModel, TrainConfig, train_classifier, train_regressor
 from .diffusion import (ConditioningVector, DenoiserModel, GuidanceModels,
                         NoiseSchedule, forward_noise, linear_schedule,
                         sample_conditional, sample_guided, train_diffusion)
 from .optimize import Individual, Problem, evaluate_individual, nsga2
 from .evaluate import (ComparisonReport, SampleAudit, audit_samples, compare,
-                       kde, pca2, volume_error_fraction)
+                       kde, volume_error_fraction)

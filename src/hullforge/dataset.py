@@ -10,24 +10,26 @@ scheduling cannot change the result.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (FROUDE_RANGE, GRID_DRAFTS, GRID_FROUDE, LOA_RANGE,
-                     LOG10_LOA_RANGE, TSTAR_RANGE, WaterConstants)
+from .config import (COND_TSTAR_RANGE, FROUDE_RANGE, LOA_RANGE, LOG10_LOA_RANGE,
+                     TSTAR_RANGE, WaterConstants)
 from .errors import DomainError, GenerationError, RepresentationError
 from .geometry import (BOX_BOUNDS, DRAFT_MARKS, HULL_FIELDS, N_SHAPE,
                        SHAPE_NAMES, GeoCurves, HullParams, hull_from_row,
                        hull_to_row, measure_curves, validate)
-from .hydro import (GRID_COLUMNS, ResistanceGrid, friction_coefficient,
-                    grid_from_row, grid_to_row, interpolate_rw,
-                    resistance_grid, speed_from_froude)
+from .hydro import (GRID_COLUMNS, ResistanceGrid, froude_speed, grid_from_row,
+                    grid_lookup, grid_to_row, resistance_coefficient,
+                    resistance_grid, skin_friction)
 
 BULB_PROBABILITY = 0.25
 REJECTION_BUDGET = 1000
+WL_FLOOR = 0.05   # waterline-prediction floor keeps the Froude number finite
 
 _LO = np.array([BOX_BOUNDS[n][0] for n in SHAPE_NAMES])
 _HI = np.array([BOX_BOUNDS[n][1] for n in SHAPE_NAMES])
@@ -260,48 +262,6 @@ def load_normalizer(path) -> Normalizer:
 
 
 @dataclass(frozen=True)
-class TrainingRow:
-    """One resistance-model training example."""
-
-    x: np.ndarray        # normalized shape vector
-    tstar: float
-    fn: float
-    log_loa: float       # log10 of LOA in meters
-    c_t: float
-
-
-def sample_training_row(record: HullRecord, normalizer: Normalizer,
-                        rng: np.random.Generator,
-                        water: WaterConstants | None = None) -> TrainingRow:
-    """Draw (t*, F_n, log LOA) and chain the resistance formulas to C_T.
-
-    Froude numbers below the wave-resistance grid floor use the clamped
-    edge value (the grid starts at 0.10 while training samples down to
-    0.05, where wave resistance is negligible against friction).
-    """
-    if not record.feasible:
-        raise DomainError("training rows come from feasible records only")
-    water = water or WaterConstants()
-    tstar = float(rng.uniform(*TSTAR_RANGE))
-    fn = float(rng.uniform(*FROUDE_RANGE))
-    log_loa = float(rng.uniform(*LOG10_LOA_RANGE))
-    loa = 10.0 ** log_loa
-
-    marks = record.curves.draft_marks
-    sa = float(np.interp(tstar, marks, record.curves.area))
-    wl = float(np.interp(tstar, marks, record.curves.wl))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rw = interpolate_rw(record.grid, tstar, fn) * loa**3
-    speed = speed_from_froude(fn, wl, loa, water.g)
-    reynolds = speed * wl * loa / water.nu
-    rf = 0.5 * friction_coefficient(reynolds) * water.rho * speed**2 * sa * loa**2
-    c_t = np.log10((rw + rf) / (0.5 * water.rho * speed**2 * loa**2))
-    return TrainingRow(normalizer.normalize(record.params.shape), tstar, fn,
-                       log_loa, float(c_t))
-
-
-@dataclass(frozen=True)
 class StackedDataset:
     """Feasible-record arrays laid out for vectorized row sampling."""
 
@@ -339,28 +299,15 @@ def _interp_marks(table: np.ndarray, idx: np.ndarray, tstar: np.ndarray) -> np.n
     return table[idx, k] * (1.0 - frac) + table[idx, k + 1] * frac
 
 
-def _interp_grid(rws: np.ndarray, idx: np.ndarray, tstar: np.ndarray,
-                 fn: np.ndarray) -> np.ndarray:
-    drafts = np.asarray(GRID_DRAFTS)
-    froude = np.asarray(GRID_FROUDE)
-    fn = np.clip(fn, froude[0], froude[-1])
-    tstar = np.clip(tstar, drafts[0], drafts[-1])
-    i = np.clip(np.searchsorted(drafts, tstar, side="right"), 1, drafts.size - 1)
-    j = np.clip(np.searchsorted(froude, fn, side="right"), 1, froude.size - 1)
-    ft = (tstar - drafts[i - 1]) / (drafts[i] - drafts[i - 1])
-    ff = (fn - froude[j - 1]) / (froude[j] - froude[j - 1])
-    g00 = rws[idx, i - 1, j - 1]
-    g01 = rws[idx, i - 1, j]
-    g10 = rws[idx, i, j - 1]
-    g11 = rws[idx, i, j]
-    return (g00 * (1 - ft) * (1 - ff) + g01 * (1 - ft) * ff
-            + g10 * ft * (1 - ff) + g11 * ft * ff)
-
-
 def resistance_rows(data: StackedDataset, rng: np.random.Generator, n_rows: int,
                     water: WaterConstants | None = None,
                     record_idx: np.ndarray | None = None):
-    """Vectorized Table-style training rows: X = [x_hat, t*, F_n, log LOA], y = C_T."""
+    """Vectorized Table-style training rows: X = [x_hat, t*, F_n, log LOA], y = C_T.
+
+    Froude numbers below the wave-resistance grid floor use the clamped
+    edge value (the grid starts at 0.10 while training samples down to
+    0.05, where wave resistance is negligible against friction).
+    """
     water = water or WaterConstants()
     idx = (rng.integers(0, data.n, n_rows) if record_idx is None
            else np.asarray(record_idx))
@@ -371,27 +318,42 @@ def resistance_rows(data: StackedDataset, rng: np.random.Generator, n_rows: int,
 
     sa = _interp_marks(data.areas, idx, tstar)
     wl = _interp_marks(data.wls, idx, tstar)
-    rw = _interp_grid(data.rws, idx, tstar, fn) * loa**3
-    speed = fn * np.sqrt(water.g * wl * loa)
-    reynolds = speed * wl * loa / water.nu
-    cf = 0.075 / (np.log10(reynolds) - 2.0) ** 2
-    rf = 0.5 * cf * water.rho * speed**2 * sa * loa**2
-    c_t = np.log10((rw + rf) / (0.5 * water.rho * speed**2 * loa**2))
+    rw = grid_lookup(data.rws, idx, tstar, fn) * loa**3
+    speed = fn * froude_speed(wl, loa, water.g)
+    rf = skin_friction(speed, sa, wl, loa, water)
+    c_t = resistance_coefficient(rw + rf, speed, loa, water.rho)
+    return resistance_inputs(data.norm_shapes[idx], tstar, fn, log_loa), c_t
 
-    x = np.column_stack([data.norm_shapes[idx], tstar, fn, log_loa])
-    return x, c_t
+
+def resistance_inputs(x_norm, tstar, fn, log_loa) -> np.ndarray:
+    """Resistance-network input rows [x_hat, t*, F_n, log10 LOA]."""
+    return np.column_stack([x_norm, tstar, fn, log_loa])
+
+
+def surrogate_rows(waterline, x_norm, tstar: float, speed: float, loa: float,
+                   water: WaterConstants) -> np.ndarray:
+    """Resistance-network rows for normalized hulls at one draft, speed, LOA.
+
+    The waterline network's WL, floored at WL_FLOOR, sets the Froude number
+    F_n = U / sqrt(g WL LOA).  The sampler's resistance guidance, the
+    optimizer's objectives and the audits' surrogate R_T all query these rows.
+    """
+    tcol = np.full(len(x_norm), tstar)
+    wl_hat = np.maximum(waterline.predict(np.column_stack([x_norm, tcol])), WL_FLOOR)
+    fn = speed / froude_speed(wl_hat, loa, water.g)
+    return resistance_inputs(x_norm, tcol, fn, np.full(len(x_norm), math.log10(loa)))
 
 
 def geometry_rows(data: StackedDataset, rng: np.random.Generator, n_rows: int,
                   record_idx: np.ndarray | None = None):
     """Rows for the volume / waterline regressors: X = [x_hat, t*].
 
-    Drafts span the full conditioning range (0.01, 1.0] because these
+    Drafts span the full conditioning range COND_TSTAR_RANGE because these
     models are queried at conditioning time, not just at simulation drafts.
     """
     idx = (rng.integers(0, data.n, n_rows) if record_idx is None
            else np.asarray(record_idx))
-    tstar = rng.uniform(0.01, 1.0, n_rows)
+    tstar = rng.uniform(*COND_TSTAR_RANGE, n_rows)
     vol = _interp_marks(data.vols, idx, tstar)
     wl = _interp_marks(data.wls, idx, tstar)
     x = np.column_stack([data.norm_shapes[idx], tstar])

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TestCase, WaterConstants
+from .config import COND_TSTAR_RANGE, TestCase, WaterConstants
+from .dataset import StackedDataset, _interp_marks, surrogate_rows
 from .errors import (ConfigurationError, DomainError, RepresentationError,
                      TrainingError)
-from .neural import Adam, MlpModel, TrainConfig, init_mlp, _loss_and_delta
-
-WL_FLOOR = 0.05   # waterline-prediction floor keeps the Froude number finite
+from .neural import (Adam, MlpModel, TrainConfig, _loss_and_delta, init_mlp,
+                     read_block, read_mlp, write_block, write_mlp)
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,9 @@ class ConditioningVector:
     depth_ratio: float
 
     def __post_init__(self):
-        if not 0.01 <= self.tstar <= 1.0:
-            raise DomainError("conditioning draft ratio must be in [0.01, 1]")
+        lo, hi = COND_TSTAR_RANGE
+        if not lo <= self.tstar <= hi:
+            raise DomainError(f"conditioning draft ratio must be in [{lo}, {hi}]")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.tstar, self.log_v, self.beam_ratio, self.depth_ratio])
@@ -206,8 +207,6 @@ def train_diffusion(data, sched: NoiseSchedule, cfg: TrainConfig,
     Each batch item pairs a normalized design vector with a conditioning
     vector assembled at a random draft: [t*, log10 V(t*), beam, depth].
     """
-    from .dataset import StackedDataset, _interp_marks  # local to avoid an import cycle in docs
-
     if not isinstance(data, StackedDataset):
         raise RepresentationError("train_diffusion expects a StackedDataset")
     if data.n < 1:
@@ -217,7 +216,7 @@ def train_diffusion(data, sched: NoiseSchedule, cfg: TrainConfig,
 
     def draw_batch(rng, size):
         idx = rng.integers(0, data.n, size)
-        tstar = rng.uniform(0.01, 1.0, size)
+        tstar = rng.uniform(*COND_TSTAR_RANGE, size)
         vol = _interp_marks(data.vols, idx, tstar)
         cond = np.column_stack([tstar, np.log10(vol), beam[idx], depth[idx]])
         return data.norm_shapes[idx], cond
@@ -263,7 +262,6 @@ def sample_guided(models: GuidanceModels, cond: ConditioningVector,
         return np.zeros((0, den.x_dim))
 
     c = cond.as_array()
-    log_loa = math.log10(loa)
     x = rng.standard_normal((n, den.x_dim))
     tcol = np.full((n, 1), cond.tstar)
     for t in range(sched.timesteps, 0, -1):
@@ -276,16 +274,12 @@ def sample_guided(models: GuidanceModels, cond: ConditioningVector,
         if gamma > 0:
             step += gamma * models.feasibility.input_gradient(x)
         if lambda0 > 0:
-            wl_hat = np.maximum(models.waterline.predict(np.hstack([x, tcol])),
-                                WL_FLOOR)
-            fn = speed / np.sqrt(water.g * wl_hat * loa)
-            inp = np.hstack([x, tcol, fn[:, None], np.full((n, 1), log_loa)])
+            inp = surrogate_rows(models.waterline, x, cond.tstar, speed, loa, water)
             step -= lambda0 * models.resistance.input_gradient(inp)[:, :den.x_dim]
         if lambda1 > 0:
-            inp = np.hstack([x, tcol])
-            v_hat = models.volume.predict(inp)
-            grad_v = models.volume.input_gradient(inp)[:, :den.x_dim]
-            step -= lambda1 * 2.0 * (v_hat - cond.log_v)[:, None] * grad_v
+            v_hat, grad_v = models.volume.value_and_input_gradient(
+                np.hstack([x, tcol]))
+            step -= lambda1 * 2.0 * (v_hat - cond.log_v)[:, None] * grad_v[:, :den.x_dim]
         x = step
     return x
 
@@ -302,63 +296,23 @@ def sample_conditional(models: GuidanceModels, cond: ConditioningVector,
 
 
 def save_denoiser(model: DenoiserModel, path) -> None:
-    from .neural import save_weights
-    import io as _io
-
     with open(path, "w") as fh:
         fh.write(f"denoiser {model.x_dim} {model.cond_dim} {model.embed_dim} "
                  f"{model.timesteps}\n")
-        fh.write(f"CW {model.cond_w.shape[0]} {model.cond_w.shape[1]}\n")
-        for row in model.cond_w:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        fh.write(f"cb {model.cond_b.size}\n")
-        fh.write(" ".join(repr(float(v)) for v in model.cond_b) + "\n")
-        buf = _io.StringIO()
-        _dump_mlp(model.mlp, buf)
-        fh.write(buf.getvalue())
-
-
-def _dump_mlp(mlp, fh):
-    sizes = " ".join(map(str, mlp.sizes))
-    fh.write(f"mlp {sizes} tanh {mlp.head}\n")
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        fh.write(f"W{i} {w.shape[0]} {w.shape[1]}\n")
-        for row in w:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        fh.write(f"b{i} {b.size}\n")
-        fh.write(" ".join(repr(float(v)) for v in b) + "\n")
+        write_block(fh, "CW", model.cond_w)
+        write_block(fh, "cb", model.cond_b)
+        write_mlp(fh, model.mlp)
 
 
 def load_denoiser(path) -> DenoiserModel:
-    from .neural import MlpModel
-
     with open(path) as fh:
         header = fh.readline().split()
-        if not header or header[0] != "denoiser":
+        if len(header) != 5 or header[0] != "denoiser":
             raise RepresentationError(f"not a denoiser archive: {path}")
         x_dim, cond_dim, embed_dim, timesteps = (int(v) for v in header[1:])
-        tag, rows, cols = fh.readline().split()
-        if tag != "CW" or (int(rows), int(cols)) != (embed_dim, cond_dim):
-            raise RepresentationError("conditioning block has wrong shape")
-        cond_w = np.array([[float(v) for v in fh.readline().split()]
-                           for _ in range(embed_dim)])
-        tag, size = fh.readline().split()
-        if tag != "cb" or int(size) != embed_dim:
-            raise RepresentationError("conditioning bias block has wrong shape")
-        cond_b = np.array([float(v) for v in fh.readline().split()])
-
-        mhead = fh.readline().split()
-        sizes = tuple(int(v) for v in mhead[1:-2])
-        weights, biases = [], []
-        for i in range(len(sizes) - 1):
-            _tag, r, c = fh.readline().split()
-            w = np.array([[float(v) for v in fh.readline().split()]
-                          for _ in range(int(r))])
-            fh.readline()
-            b = np.array([float(v) for v in fh.readline().split()])
-            weights.append(w)
-            biases.append(b)
-        mlp = MlpModel(sizes=sizes, weights=weights, biases=biases, head=mhead[-1])
+        cond_w = read_block(fh, "CW", (embed_dim, cond_dim))
+        cond_b = read_block(fh, "cb", (embed_dim,))
+        mlp = read_mlp(fh, path)
     return DenoiserModel(mlp=mlp, cond_w=cond_w, cond_b=cond_b, x_dim=x_dim,
                          cond_dim=cond_dim, embed_dim=embed_dim,
                          timesteps=timesteps)

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TestCase, WaterConstants
-from .errors import DegeneracyError, DomainError
+from .dataset import surrogate_rows
+from .errors import (DegeneracyError, DomainError, FeasibilityError,
+                     RepresentationError)
 from .geometry import HullParams, centerplane_slopes, measure_at, validate
 from .hydro import (FlowCondition, friction_resistance, michell_wave_resistance,
                     predicted_total_resistance)
@@ -88,12 +90,9 @@ def audit_one(shape_norm, case: TestCase, resistance: MlpModel,
     rf = friction_resistance(cond, sa, wl)
     simulated = rw + rf
 
-    xrow = np.asarray(shape_norm, dtype=float)[None, :]
-    tcol = np.array([[tstar]])
-    wl_hat = max(float(waterline.predict(np.hstack([xrow, tcol]))[0]), 0.05)
-    fn = case.speed / math.sqrt(water.g * wl_hat * case.loa)
-    inp = np.hstack([xrow, tcol, [[fn]], [[math.log10(case.loa)]]])
-    surrogate = predicted_total_resistance(float(resistance.predict(inp)[0]), cond)
+    rows = surrogate_rows(waterline, np.asarray(shape_norm, dtype=float)[None, :],
+                          tstar, case.speed, case.loa, water)
+    surrogate = predicted_total_resistance(float(resistance.predict(rows)[0]), cond)
     return SampleAudit(True, float(vol_err), float(beam_err), float(depth_err),
                        float(surrogate), float(simulated))
 
@@ -101,14 +100,18 @@ def audit_one(shape_norm, case: TestCase, resistance: MlpModel,
 def audit_samples(shapes_norm, case: TestCase, resistance: MlpModel,
                   waterline: MlpModel, normalizer,
                   water: WaterConstants | None = None, **kw) -> list:
-    """Audit a batch of normalized design vectors; failures are recorded
-    as infeasible entries rather than raised."""
+    """Audit a batch of normalized design vectors.
+
+    A hull the geometry or physics rejects (domain, feasibility or
+    representation error) is recorded as infeasible; any other exception
+    is a bug and propagates.
+    """
     out = []
     for row in np.atleast_2d(np.asarray(shapes_norm, dtype=float)):
         try:
             out.append(audit_one(row, case, resistance, waterline, normalizer,
                                  water, **kw))
-        except Exception:
+        except (DomainError, FeasibilityError, RepresentationError):
             out.append(SampleAudit(feasible=False))
     return out
 
@@ -159,11 +162,6 @@ def fit_pca2(train) -> Pca2:
     var = s**2
     return Pca2(mean=mean, components=vt[:2],
                 explained_ratio=var[:2] / var.sum())
-
-
-def pca2(train, queries) -> np.ndarray:
-    """2-D coordinates of the queries in the frame fitted on the training set."""
-    return fit_pca2(train).project(queries)
 
 
 def kde(values, n_grid: int = 256):

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .config import GRID_DRAFTS, GRID_FROUDE, WaterConstants
+from .config import FROUDE_RANGE, GRID_DRAFTS, GRID_FROUDE, WaterConstants
 from .errors import DomainError, QuadratureAccuracyWarning, SingularityError
 from .geometry import HullParams, SlopeField, centerplane_slopes, waterline_bounds
 
@@ -68,8 +69,8 @@ class ResistanceGrid:
     """
 
     rw: np.ndarray
-    drafts: tuple = GRID_DRAFTS
-    froude: tuple = GRID_FROUDE
+    drafts: ClassVar[tuple] = GRID_DRAFTS
+    froude: ClassVar[tuple] = GRID_FROUDE
 
     def __post_init__(self):
         arr = np.asarray(self.rw, dtype=float)
@@ -78,38 +79,69 @@ class ResistanceGrid:
         object.__setattr__(self, "rw", arr)
 
 
+def froude_speed(wl, loa, g):
+    """sqrt(g * WL * LOA), the speed at F_n = 1 (WL LOA-normalized); array-capable."""
+    return np.sqrt(g * wl * loa)
+
+
 def froude_number(speed: float, wl: float, loa: float, g: float = 9.81) -> float:
     """F_n = U / sqrt(g * WL * LOA) with WL the LOA-normalized waterline."""
     if wl * loa <= 0:
         raise DomainError("waterline length must be positive")
-    return speed / math.sqrt(g * wl * loa)
+    return float(speed / froude_speed(wl, loa, g))
 
 
 def speed_from_froude(fn: float, wl: float, loa: float, g: float = 9.81) -> float:
     if wl * loa <= 0:
         raise DomainError("waterline length must be positive")
-    return fn * math.sqrt(g * wl * loa)
+    return float(fn * froude_speed(wl, loa, g))
+
+
+def _log10(x):
+    """math.log10 of a scalar, np.log10 of an array.
+
+    The two differ in the last bit on about 1% of Reynolds numbers; scalar
+    callers (the audits' R_f) and array callers (the training rows) each
+    keep the values they have always produced.
+    """
+    return math.log10(x) if np.ndim(x) == 0 else np.log10(x)
+
+
+def ittc_line(reynolds):
+    """ITTC-1957 correlation line: C_f = 0.075 / (log10(Re) - 2)^2; array-capable."""
+    if np.any(np.asarray(reynolds) <= 100.0):
+        raise SingularityError(
+            f"ITTC line is singular for Re <= 100, got {np.min(reynolds)}")
+    return 0.075 / (_log10(reynolds) - 2.0) ** 2
 
 
 def friction_coefficient(reynolds: float) -> float:
-    """ITTC-1957 correlation line: C_f = 0.075 / (log10(Re) - 2)^2."""
-    if reynolds <= 100.0:
-        raise SingularityError(f"ITTC line is singular for Re <= 100, got {reynolds}")
-    return 0.075 / (math.log10(reynolds) - 2.0) ** 2
+    """ITTC-1957 C_f for one Reynolds number (see ittc_line)."""
+    return float(ittc_line(reynolds))
+
+
+def skin_friction(speed, sa, wl, loa, water):
+    """R_f in Newtons from LOA-normalized wetted area and waterline; array-capable.
+
+    Re uses the waterline length (not LOA) as its length scale; ``water``
+    is anything with ``rho`` and ``nu`` (WaterConstants, FlowCondition).
+    """
+    reynolds = speed * wl * loa / water.nu
+    return 0.5 * ittc_line(reynolds) * water.rho * speed**2 * sa * loa**2
 
 
 def friction_resistance(cond: FlowCondition, sa: float, wl: float) -> float:
-    """Skin friction in Newtons from LOA-normalized wetted area and waterline.
-
-    Re uses the waterline length (not LOA) as its length scale.
-    """
+    """Skin friction in Newtons for one flow condition (see skin_friction)."""
     if sa < 0 or wl < 0:
         raise DomainError("wetted area and waterline must be non-negative")
     if sa == 0.0 or cond.speed == 0.0:
         return 0.0
-    reynolds = cond.speed * wl * cond.loa / cond.nu
-    cf = friction_coefficient(reynolds)
-    return 0.5 * cf * cond.rho * cond.speed**2 * sa * cond.loa**2
+    return float(skin_friction(cond.speed, sa, wl, cond.loa, cond))
+
+
+def resistance_coefficient(total, speed, loa, rho):
+    """C_T = log10(R_T / (0.5 rho U^2 LOA^2)); array-capable."""
+    return _log10(total / (0.5 * rho * speed**2 * loa**2))
 
 
 def _linexp_weights(h):
@@ -277,39 +309,45 @@ def resistance_grid(params: HullParams, water: WaterConstants | None = None, *,
     return ResistanceGrid(rw=rw)
 
 
+def grid_lookup(rws: np.ndarray, idx, tstar, fn):
+    """Bilinear (draft, Froude) lookup in the grids ``rws[idx]`` (at LOA = 1 m).
+
+    ``rws`` stacks grids as (n, drafts, froude); queries outside the grid
+    clamp to its edges.  Array-capable in ``idx``, ``tstar`` and ``fn``.
+    """
+    drafts = np.asarray(GRID_DRAFTS)
+    froude = np.asarray(GRID_FROUDE)
+    fn = np.clip(fn, froude[0], froude[-1])
+    tstar = np.clip(tstar, drafts[0], drafts[-1])
+    i = np.clip(np.searchsorted(drafts, tstar, side="right"), 1, drafts.size - 1)
+    j = np.clip(np.searchsorted(froude, fn, side="right"), 1, froude.size - 1)
+    ft = (tstar - drafts[i - 1]) / (drafts[i] - drafts[i - 1])
+    ff = (fn - froude[j - 1]) / (froude[j] - froude[j - 1])
+    g00 = rws[idx, i - 1, j - 1]
+    g01 = rws[idx, i - 1, j]
+    g10 = rws[idx, i, j - 1]
+    g11 = rws[idx, i, j]
+    return (g00 * (1 - ft) * (1 - ff) + g01 * (1 - ft) * ff
+            + g10 * ft * (1 - ff) + g11 * ft * ff)
+
+
 def interpolate_rw(grid: ResistanceGrid, tstar: float, fn: float) -> float:
     """Bilinear interpolation on the stored grid (still at LOA = 1 m).
 
     Froude numbers below the 0.10 grid floor are clamped to the edge with a
     warning; everything else outside the grid is a domain error.
     """
-    drafts = np.asarray(grid.drafts)
-    froude = np.asarray(grid.froude)
+    drafts, froude = grid.drafts, grid.froude
     if fn < froude[0]:
-        if fn < 0.05 - 1e-12:
+        if fn < FROUDE_RANGE[0] - 1e-12:
             raise DomainError(f"Froude number {fn} below supported range")
         warnings.warn("Froude number below simulation grid; clamped to 0.10",
                       stacklevel=2)
-        fn = float(froude[0])
     if not drafts[0] <= tstar <= drafts[-1]:
         raise DomainError(f"draft ratio {tstar} outside grid {drafts[0]}..{drafts[-1]}")
     if fn > froude[-1] + 1e-12:
         raise DomainError(f"Froude number {fn} outside grid")
-    fn = min(fn, float(froude[-1]))
-
-    i = min(np.searchsorted(drafts, tstar, side="right"), drafts.size - 1)
-    j = min(np.searchsorted(froude, fn, side="right"), froude.size - 1)
-    i0, j0 = i - 1, j - 1
-    ft = (tstar - drafts[i0]) / (drafts[i] - drafts[i0])
-    ff = (fn - froude[j0]) / (froude[j] - froude[j0])
-    row0 = grid.rw[i0, j0] * (1 - ff) + grid.rw[i0, j] * ff
-    row1 = grid.rw[i, j0] * (1 - ff) + grid.rw[i, j] * ff
-    return float(row0 * (1 - ft) + row1 * ft)
-
-
-def rw_at_scale(grid: ResistanceGrid, tstar: float, fn: float, loa: float) -> float:
-    """Grid wave resistance rescaled to a hull of the given LOA (Newtons)."""
-    return interpolate_rw(grid, tstar, fn) * loa**3
+    return float(grid_lookup(grid.rw[None], 0, tstar, fn))
 
 
 def total_resistance_coefficient(rw: float, rf: float, cond: FlowCondition) -> float:
@@ -317,7 +355,7 @@ def total_resistance_coefficient(rw: float, rf: float, cond: FlowCondition) -> f
     total = rw + rf
     if total <= 0:
         raise DomainError("total resistance must be positive for the log scale")
-    return math.log10(total / (0.5 * cond.rho * cond.speed**2 * cond.loa**2))
+    return float(resistance_coefficient(total, cond.speed, cond.loa, cond.rho))
 
 
 def predicted_total_resistance(c_t: float, cond: FlowCondition) -> float:

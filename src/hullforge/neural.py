@@ -85,8 +85,9 @@ class MlpModel:
             acts.append(h)
         return acts, pre
 
-    def input_gradient(self, x) -> np.ndarray:
-        """Exact reverse-mode d(output)/d(input), rowwise, for scalar heads.
+    def value_and_input_gradient(self, x):
+        """predict(x) and the exact reverse-mode d(output)/d(input), rowwise,
+        from one forward pass; scalar heads only.
 
         For the sigmoid head this is the gradient of the probability, not
         of the logit.
@@ -95,15 +96,20 @@ class MlpModel:
             raise RepresentationError("input_gradient needs a scalar output")
         x = self._check(x)
         acts, pre = self._forward_cached(x)
+        out = acts[-1]
         delta = np.ones((x.shape[0], 1))
         if self.head == "sigmoid":
-            p = _sigmoid(pre[-1])
-            delta = delta * p * (1.0 - p)
+            out = _sigmoid(pre[-1])
+            delta = delta * out * (1.0 - out)
         for i in range(len(self.weights) - 1, -1, -1):
             delta = delta @ self.weights[i].T
             if i > 0:
                 delta = delta * (1.0 - acts[i] ** 2)
-        return delta
+        return out[:, 0], delta
+
+    def input_gradient(self, x) -> np.ndarray:
+        """The gradient half of value_and_input_gradient."""
+        return self.value_and_input_gradient(x)[1]
 
     def _backward(self, acts, pre, dout):
         dws = [None] * len(self.weights)
@@ -147,13 +153,10 @@ class TrainConfig:
     steps: int = 20000
     learning_rate: float = 1e-3
     seed: int = 0
-    loss: str = "mse"            # "mse" or "bce"
 
     def __post_init__(self):
         if self.batch_size < 1 or self.steps < 1:
             raise TrainingError("batch size and step count must be >= 1")
-        if self.loss not in ("mse", "bce"):
-            raise TrainingError(f"unknown loss {self.loss!r}")
 
 
 @dataclass
@@ -200,7 +203,8 @@ def _loss_and_delta(z, yb, kind):
     return loss, delta
 
 
-def _train(model: MlpModel, x, y, cfg: TrainConfig, val=None) -> TrainResult:
+def _train(model: MlpModel, x, y, cfg: TrainConfig, loss_kind: str) -> TrainResult:
+    """Minibatch Adam on ``loss_kind``: "mse", or "bce" through the sigmoid."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
@@ -216,7 +220,7 @@ def _train(model: MlpModel, x, y, cfg: TrainConfig, val=None) -> TrainResult:
         idx = rng.integers(0, x.shape[0], min(cfg.batch_size, x.shape[0]))
         xb, yb = x[idx], y[idx]
         acts, pre = model._forward_cached(xb)
-        loss, delta = _loss_and_delta(acts[-1], yb, cfg.loss)
+        loss, delta = _loss_and_delta(acts[-1], yb, loss_kind)
         if not np.isfinite(loss):
             raise TrainingError(f"training loss diverged at step {step}")
         dws, dbs, _ = model._backward(acts, pre, delta)
@@ -234,8 +238,7 @@ def train_regressor(x, y, cfg: TrainConfig, *, hidden=(256, 256, 256, 256),
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
         out_dim = 1 if np.asarray(y).ndim == 1 else np.asarray(y).shape[1]
         model = init_mlp(x.shape[1], hidden, out_dim, "linear", rng)
-    cfg = TrainConfig(cfg.batch_size, cfg.steps, cfg.learning_rate, cfg.seed, "mse")
-    return _train(model, x, y, cfg)
+    return _train(model, x, y, cfg, "mse")
 
 
 def train_classifier(x, y, cfg: TrainConfig, *, hidden=(256, 256, 256, 256),
@@ -249,8 +252,7 @@ def train_classifier(x, y, cfg: TrainConfig, *, hidden=(256, 256, 256, 256),
     if model is None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202]))
         model = init_mlp(x.shape[1], hidden, 1, "sigmoid", rng)
-    cfg = TrainConfig(cfg.batch_size, cfg.steps, cfg.learning_rate, cfg.seed, "bce")
-    return _train(model, x, y, cfg)
+    return _train(model, x, y, cfg, "bce")
 
 
 def r_squared(model: MlpModel, x, y) -> float:
@@ -271,41 +273,57 @@ def accuracy(model: MlpModel, x, y) -> float:
 # activation tags, then one row-major float block per matrix/vector.
 
 
+def write_block(fh, tag: str, arr) -> None:
+    """One float block: ``tag rows cols`` and a line per row for a matrix,
+    ``tag size`` and one line for a vector."""
+    arr = np.asarray(arr)
+    fh.write(f"{tag} {' '.join(map(str, arr.shape))}\n")
+    for row in np.atleast_2d(arr):
+        fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
+def read_block(fh, tag: str, shape: tuple) -> np.ndarray:
+    """A block written by write_block, checked against ``tag`` and ``shape``."""
+    head = fh.readline().split()
+    if head != [tag, *map(str, shape)]:
+        raise RepresentationError(f"expected block {tag} of shape {shape}, "
+                                  f"got {' '.join(head)!r}")
+    rows = [[float(v) for v in fh.readline().split()]
+            for _ in range(shape[0] if len(shape) == 2 else 1)]
+    arr = np.array(rows if len(shape) == 2 else rows[0])
+    if arr.shape != shape:
+        raise RepresentationError(f"block {tag} is malformed")
+    return arr
+
+
+def write_mlp(fh, model: MlpModel) -> None:
+    """The MLP block: the header line, then W{i} and b{i} per layer."""
+    fh.write(f"mlp {' '.join(map(str, model.sizes))} tanh {model.head}\n")
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        write_block(fh, f"W{i}", w)
+        write_block(fh, f"b{i}", b)
+
+
+def read_mlp(fh, source) -> MlpModel:
+    """An MLP block written by write_mlp; tags and shapes are checked."""
+    header = fh.readline().split()
+    if len(header) < 4 or header[0] != "mlp":
+        raise RepresentationError(f"not a weight archive: {source}")
+    if header[-2] != "tanh":
+        raise RepresentationError(f"unsupported activation {header[-2]!r}")
+    sizes = tuple(int(v) for v in header[1:-2])
+    weights, biases = [], []
+    for i in range(len(sizes) - 1):
+        weights.append(read_block(fh, f"W{i}", sizes[i:i + 2]))
+        biases.append(read_block(fh, f"b{i}", sizes[i + 1:i + 2]))
+    return MlpModel(sizes=sizes, weights=weights, biases=biases, head=header[-1])
+
+
 def save_weights(model: MlpModel, path) -> None:
     with open(path, "w") as fh:
-        sizes = " ".join(map(str, model.sizes))
-        fh.write(f"mlp {sizes} tanh {model.head}\n")
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            fh.write(f"W{i} {w.shape[0]} {w.shape[1]}\n")
-            for row in w:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-            fh.write(f"b{i} {b.size}\n")
-            fh.write(" ".join(repr(float(v)) for v in b) + "\n")
+        write_mlp(fh, model)
 
 
 def load_weights(path) -> MlpModel:
     with open(path) as fh:
-        header = fh.readline().split()
-        if not header or header[0] != "mlp":
-            raise RepresentationError(f"not a weight archive: {path}")
-        head = header[-1]
-        if header[-2] != "tanh":
-            raise RepresentationError(f"unsupported activation {header[-2]!r}")
-        sizes = tuple(int(v) for v in header[1:-2])
-        weights, biases = [], []
-        for i in range(len(sizes) - 1):
-            tag, rows, cols = fh.readline().split()
-            rows, cols = int(rows), int(cols)
-            if tag != f"W{i}" or (rows, cols) != (sizes[i], sizes[i + 1]):
-                raise RepresentationError(f"weight block {tag} has wrong shape")
-            w = np.array([[float(v) for v in fh.readline().split()]
-                          for _ in range(rows)])
-            if w.shape != (rows, cols):
-                raise RepresentationError(f"weight block {tag} is malformed")
-            tag, size = fh.readline().split()
-            if tag != f"b{i}" or int(size) != cols:
-                raise RepresentationError(f"bias block {tag} has wrong shape")
-            b = np.array([float(v) for v in fh.readline().split()])
-            weights.append(w)
-            biases.append(b)
-    return MlpModel(sizes=sizes, weights=weights, biases=biases, head=head)
+        return read_mlp(fh, path)

@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TestCase, WaterConstants
+from .dataset import surrogate_rows
 from .errors import DomainError, TrainingError
 from .geometry import HullParams, measure_at, validate
+from .hydro import FlowCondition, predicted_total_resistance
 from .neural import MlpModel
 
 SBX_ETA = 15.0
@@ -269,14 +271,11 @@ def evaluate_individual(x_norm, case: TestCase, resistance: MlpModel,
         vol = measure_at(params, tstar, nz=volume_nz, nx=volume_nx)[0] * case.loa**3
         violation += max(0.0, 0.99 - vol / case.volume)
 
-    xrow = x_norm[None, :]
-    tcol = np.array([[tstar]])
-    wl_hat = max(float(waterline.predict(np.hstack([xrow, tcol]))[0]), 0.05)
-    fn = case.speed / math.sqrt(water.g * wl_hat * case.loa)
-    inp = np.hstack([xrow, tcol, [[fn]], [[math.log10(case.loa)]]])
-    c_t = float(resistance.predict(inp)[0])
-    r_t = 10.0**c_t * 0.5 * water.rho * case.speed**2 * case.loa**2
-    return np.array([r_t, c_t]), violation
+    rows = surrogate_rows(waterline, x_norm[None, :], tstar, case.speed, case.loa, water)
+    c_t = float(resistance.predict(rows)[0])
+    cond = FlowCondition(speed=case.speed, loa=case.loa, tstar=tstar,
+                         rho=water.rho, g=water.g, nu=water.nu)
+    return np.array([predicted_total_resistance(c_t, cond), c_t]), violation
 
 
 def make_hull_problem(case: TestCase, resistance: MlpModel, waterline: MlpModel,

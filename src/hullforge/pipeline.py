@@ -272,13 +272,14 @@ def cmd_train(cfg: PipelineConfig, out_dir, which: str = "all") -> Path:
     return target
 
 
-def _load_models(out_dir: Path, *, need=("resistance", "volume", "waterline",
-                                         "classifier", "denoiser")) -> GuidanceModels:
+def _load_models(out_dir: Path, *, need=tuple(MODEL_FILES),
+                 present=()) -> GuidanceModels:
+    """Parse the archives named in ``need``; those in ``present`` must exist."""
     mdir = _require(Path(out_dir) / "models", "train")
-    loaded = {}
-    for name in need:
-        path = _require(mdir / MODEL_FILES[name], f"train --which {name}")
-        loaded[name] = load_denoiser(path) if name == "denoiser" else load_weights(path)
+    paths = {name: _require(mdir / fname, f"train --which {name}")
+             for name, fname in MODEL_FILES.items() if name in need or name in present}
+    loaded = {name: load_denoiser(paths[name]) if name == "denoiser"
+              else load_weights(paths[name]) for name in need}
     return GuidanceModels(
         denoiser=loaded.get("denoiser"),
         feasibility=loaded.get("classifier"),
@@ -286,6 +287,10 @@ def _load_models(out_dir: Path, *, need=("resistance", "volume", "waterline",
         volume=loaded.get("volume"),
         waterline=loaded.get("waterline"),
     )
+
+
+# the networks each guidance coefficient (gamma, lambda0, lambda1) queries
+GUIDANCE_NETS = (("classifier",), ("resistance", "waterline"), ("volume",))
 
 
 def _mode_coefficients(cfg: PipelineConfig, mode: str):
@@ -312,7 +317,12 @@ def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
     gamma, lam0, lam1 = _mode_coefficients(cfg, mode)
     out_dir = Path(out_dir)
     _records, normalizer = _load_dataset(out_dir)
-    models = _load_models(out_dir)
+    need = ["denoiser"]
+    for coef, nets in zip((gamma, lam0, lam1), GUIDANCE_NETS):
+        if coef > 0:
+            need.extend(nets)
+    # every archive is hashed into provenance.meta, so all must exist
+    models = _load_models(out_dir, need=need, present=MODEL_FILES)
     n = cfg.n_samples if n is None else n
     seed = _seed_int(cfg.seed, 31, sorted(cfg.cases).index(case_name),
                      SAMPLE_MODES.index(mode)) if seed is None else seed

@@ -246,3 +246,19 @@ def test_cli_train_reruns_byte_identical(tmp_path, monkeypatch, capsys):
     assert "metrics.meta" in models_a
     assert models_a == models_b
     assert "train finished in" in capsys.readouterr().err
+
+
+def test_cli_sample_parses_only_the_models_its_mode_uses(tmp_path):
+    """unguided sampling reads the denoiser only, but every archive is
+    hashed into provenance.meta, so a missing one is still exit 2."""
+    cfg = micro_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["gen-dataset", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    resistance = out / "models" / "resistance.txt"
+    resistance.write_text("not an archive\n")
+    sample = ["sample", "--case", "kayak", "--config", str(cfg), "--out", str(out)]
+    assert main([*sample, "--mode", "unguided"]) == 0
+    assert main([*sample, "--mode", "full"]) == 1
+    resistance.unlink()
+    assert main([*sample, "--mode", "unguided"]) == 2

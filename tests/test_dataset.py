@@ -9,8 +9,7 @@ from hullforge.dataset import (DATASET_FIELDS, Normalizer, build_dataset,
                                classifier_rows, fit_normalizer, geometry_rows,
                                load_normalizer, read_dataset_csv, read_meta,
                                resistance_rows, sample_infeasible_vector,
-                               sample_random_hull, sample_training_row,
-                               save_normalizer, stack_records,
+                               sample_random_hull, save_normalizer, stack_records,
                                write_dataset_csv, write_meta)
 from hullforge.errors import DomainError
 from hullforge.geometry import validate
@@ -155,31 +154,10 @@ def test_normalizer_save_load_roundtrip(tmp_path, mini_normalizer):
 
 # -- training rows ------------------------------------------------------------
 
-def test_training_row_deterministic(mini_records, mini_normalizer):
-    rec = next(r for r in mini_records if r.feasible)
-    a = sample_training_row(rec, mini_normalizer, np.random.default_rng(7))
-    b = sample_training_row(rec, mini_normalizer, np.random.default_rng(7))
-    assert a.c_t == b.c_t and a.tstar == b.tstar and a.fn == b.fn
-    assert np.array_equal(a.x, b.x)
-
-
-def test_training_row_hand_chain(mini_records, mini_normalizer):
-    rec = next(r for r in mini_records if r.feasible)
-    row = sample_training_row(rec, mini_normalizer, np.random.default_rng(123))
-    water = WaterConstants()
-    loa = 10.0 ** row.log_loa
-    marks = rec.curves.draft_marks
-    sa = np.interp(row.tstar, marks, rec.curves.area)
-    wl = np.interp(row.tstar, marks, rec.curves.wl)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rw = interpolate_rw(rec.grid, row.tstar, row.fn) * loa**3
-    speed = row.fn * math.sqrt(water.g * wl * loa)
-    re = speed * wl * loa / water.nu
-    cf = 0.075 / (math.log10(re) - 2.0) ** 2
-    rf = 0.5 * cf * water.rho * speed**2 * sa * loa**2
-    expected = math.log10((rw + rf) / (0.5 * water.rho * speed**2 * loa**2))
-    assert row.c_t == pytest.approx(expected, rel=1e-12)
+def test_training_row_deterministic(mini_stacked):
+    a = resistance_rows(mini_stacked, np.random.default_rng(7), 256)
+    b = resistance_rows(mini_stacked, np.random.default_rng(7), 256)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_training_rows_finite_bulk(mini_stacked):
@@ -230,12 +208,6 @@ def test_classifier_rows_balanced(mini_records, mini_normalizer):
     assert x.shape == (128, 13)
     assert y.sum() == 64
     assert np.all(np.abs(x) <= 1.0)
-
-
-def test_training_row_rejects_infeasible(mini_records, mini_normalizer):
-    rec = next(r for r in mini_records if not r.feasible)
-    with pytest.raises(DomainError):
-        sample_training_row(rec, mini_normalizer, np.random.default_rng(0))
 
 
 # -- serialization ------------------------------------------------------------

@@ -6,7 +6,8 @@ from hullforge.diffusion import (ConditioningVector, GuidanceModels,
                                  linear_schedule, load_denoiser,
                                  sample_conditional, sample_guided,
                                  save_denoiser, train_denoiser, train_diffusion)
-from hullforge.errors import ConfigurationError, DomainError
+from hullforge.errors import (ConfigurationError, DomainError,
+                             RepresentationError)
 from hullforge.neural import TrainConfig, init_mlp
 
 
@@ -191,6 +192,19 @@ def test_denoiser_archive_roundtrip(tmp_path, mini_stacked):
     cond = np.tile([0.5, -2.5, 0.2, 0.1], (5, 1))
     assert np.array_equal(back.predict_noise(x, 17, cond),
                           model.predict_noise(x, 17, cond))
+
+
+@pytest.mark.parametrize("old,new", [(" tanh linear", " relu linear"),
+                                     ("W0 ", "W1 "),
+                                     ("denoiser 3 2 4 50", "denoiser 3 2")],
+                         ids=["activation", "tag", "header"])
+def test_denoiser_archive_rejects_bad_blocks(tmp_path, old, new):
+    model = init_denoiser(3, 2, linear_schedule(50), hidden=(4,), embed_dim=4)
+    path = tmp_path / "denoiser.txt"
+    save_denoiser(model, path)
+    path.write_text(path.read_text().replace(old, new, 1))
+    with pytest.raises(RepresentationError):
+        load_denoiser(path)
 
 
 def test_conditioning_vector_from_case():

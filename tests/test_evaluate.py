@@ -7,9 +7,10 @@ from hullforge.config import TestCase
 from hullforge.errors import DegeneracyError, DomainError
 from hullforge.evaluate import (ComparisonReport, SampleAudit, audit_one,
                                 audit_samples, audit_stats, compare, fit_pca2,
-                                kde, pca2, volume_error_fraction)
+                                kde, volume_error_fraction)
 from hullforge.geometry import measure_at
 from hullforge.neural import init_mlp
+from hullforge.optimize import evaluate_individual
 from conftest import make_hull
 
 
@@ -75,7 +76,7 @@ def test_pca_isotropic_shares():
 def test_pca_train_mean_projects_to_origin():
     rng = np.random.default_rng(3)
     data = rng.normal(size=(50, 5)) + 7.0
-    out = pca2(data, data.mean(axis=0))
+    out = fit_pca2(data).project(data.mean(axis=0))
     assert np.allclose(out, 0.0, atol=1e-9)
 
 
@@ -172,6 +173,33 @@ def test_audit_flags_infeasible(audit_env):
     assert len(audits) == 2
     assert not audits[0].feasible and audits[0].vol_err is None
     assert audits[1].feasible
+
+
+def test_audit_samples_propagates_bugs(audit_env):
+    normalizer, resistance, _waterline = audit_env
+
+    class BrokenWaterline:
+        def predict(self, x):
+            raise TypeError("not a domain failure")
+
+    hull = make_hull(40.0)
+    with pytest.raises(TypeError):
+        audit_samples(normalizer.normalize(hull.shape), _case_for(hull),
+                      resistance, BrokenWaterline(), normalizer,
+                      n_theta=32, plane_nx=32, plane_nz=8)
+
+
+def test_optimizer_and_audit_share_the_surrogate(audit_env):
+    normalizer, resistance, waterline = audit_env
+    hull = make_hull(40.0)
+    case = _case_for(hull)
+    x = normalizer.normalize(hull.shape)
+    objs, _violation = evaluate_individual(x, case, resistance, waterline,
+                                           normalizer)
+    audit = audit_one(x, case, resistance, waterline, normalizer,
+                      n_theta=32, plane_nx=32, plane_nz=8)
+    assert audit.feasible
+    assert objs[0] == audit.surrogate_rt
 
 
 def test_audit_stats_and_band(audit_env):

@@ -11,7 +11,7 @@ from hullforge.hydro import (GRID_COLUMNS, FlowCondition, ResistanceGrid,
                              froude_number, grid_from_row, grid_to_row,
                              interpolate_rw, michell_wave_resistance,
                              predicted_total_resistance, resistance_grid,
-                             rw_at_scale, speed_from_froude,
+                             speed_from_froude,
                              total_resistance_coefficient)
 from conftest import make_hull
 
@@ -157,8 +157,6 @@ def test_interpolate_rw_nodes_and_midpoints():
     assert interpolate_rw(grid, 0.33, 0.20) == rw[1, 2]
     mid = interpolate_rw(grid, 0.33, 0.225)
     assert mid == pytest.approx(0.5 * (rw[1, 2] + rw[1, 3]), rel=1e-12)
-    assert rw_at_scale(grid, 0.33, 0.20, loa=10.0) == pytest.approx(
-        rw[1, 2] * 1000.0)
 
 
 def test_interpolate_rw_low_froude_clamps_with_warning():

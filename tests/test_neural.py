@@ -152,6 +152,9 @@ def test_weight_archive_validates_shapes(tmp_path):
     path.write_text(text)
     with pytest.raises(RepresentationError):
         load_weights(path)
+    path.write_text("mlp\n")
+    with pytest.raises(RepresentationError):
+        load_weights(path)
 
 
 def test_r_squared_perfect_fit():
