@@ -10,6 +10,7 @@ scheduling cannot change the result.
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -112,6 +113,29 @@ def sample_infeasible_vector(rng: np.random.Generator) -> HullParams:
     return params
 
 
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: set the loaded OpenBLAS to one thread.
+
+    With its default of one thread per core, every worker of a pool as
+    wide as the machine would oversubscribe the cores.  The library is
+    found in /proc/self/maps; without one (or off Linux) nothing changes.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(1)
+                return
+
+
 def _build_one(args):
     seed, water, n_theta, nx, nz = args
     rng = np.random.default_rng(seed)
@@ -126,14 +150,19 @@ def _build_one(args):
 def build_dataset(n: int, seed: int, *, water: WaterConstants | None = None,
                   n_theta: int = 384, nx: int = 512, nz: int = 48,
                   workers: int | None = None) -> list[HullRecord]:
-    """n feasible records (curves + grids) followed by n infeasible vectors."""
+    """n feasible records (curves + grids) followed by n infeasible vectors.
+
+    ``workers`` > 1 (or None, one per core) builds the feasible records in
+    a process pool whose workers run one BLAS thread each.
+    """
     if n < 1:
         raise DomainError("dataset size must be >= 1")
     water = water or WaterConstants()
     seeds = np.random.SeedSequence(seed).spawn(n + 1)
     jobs = [(s, water, n_theta, nx, nz) for s in seeds[:n]]
     if workers is None or workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_one_blas_thread) as pool:
             records = list(pool.map(_build_one, jobs, chunksize=8))
     else:
         records = [_build_one(j) for j in jobs]

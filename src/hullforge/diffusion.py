@@ -28,7 +28,8 @@ from .dataset import StackedDataset, _interp_marks, surrogate_rows
 from .errors import (ConfigurationError, DomainError, RepresentationError,
                      TrainingError)
 from .neural import (Adam, MlpModel, TrainConfig, _loss_and_delta, init_mlp,
-                     read_block, read_mlp, write_block, write_mlp)
+                     read_block, read_mlp, read_sizes, write_block,
+                     write_mlp)
 
 
 @dataclass(frozen=True)
@@ -309,7 +310,7 @@ def load_denoiser(path) -> DenoiserModel:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "denoiser":
             raise RepresentationError(f"not a denoiser archive: {path}")
-        x_dim, cond_dim, embed_dim, timesteps = (int(v) for v in header[1:])
+        x_dim, cond_dim, embed_dim, timesteps = read_sizes(header[1:], path)
         cond_w = read_block(fh, "CW", (embed_dim, cond_dim))
         cond_b = read_block(fh, "cb", (embed_dim,))
         mlp = read_mlp(fh, path)

@@ -74,6 +74,7 @@ DRAFT_MARKS = np.linspace(0.01, 1.0, 100)
 # Default section-integration resolution (z-stations per draft mark, x-stations).
 MEASURE_NZ = 200
 MEASURE_NX = 256
+BULB_X_NODES = 33   # extra measure_curves x-stations across a bow bulb
 
 
 @dataclass(frozen=True)
@@ -209,16 +210,15 @@ def _half_breadth_grid(params: HullParams, x, zeta):
     inside = (x >= x_aft) & (x <= x_fwd)
 
     if s.run_frac > 0.0:
-        u = np.clip((x - x_aft) / s.run_frac, 0.0, 1.0)
-        w_run = u ** (1.0 / s.run_fullness)
+        w_run = np.clip((x - x_aft) / s.run_frac, 0.0, 1.0) ** (1.0 / s.run_fullness)
     else:
         w_run = np.ones(np.broadcast(x, zeta).shape)
     if s.entrance_frac > 0.0:
-        u = np.clip((x_fwd - x) / s.entrance_frac, 0.0, 1.0)
-        w_ent = u ** (1.0 / s.entrance_fullness)
+        w_ent = np.clip((x_fwd - x) / s.entrance_frac, 0.0, 1.0) ** (1.0 / s.entrance_fullness)
     else:
         w_ent = np.ones(np.broadcast(x, zeta).shape)
     w = np.minimum(w_run, w_ent)
+    del w_run, w_ent            # full-grid arrays: keep the peak memory down
 
     if s.deadrise_frac > 0.0:
         sec = np.clip(zeta / s.deadrise_frac, 0.0, 1.0) ** (1.0 / s.section_fullness)
@@ -253,7 +253,7 @@ def waterline_bounds(params: HullParams, tstar: float) -> tuple:
     return x_aft, x_fwd
 
 
-def _shell_band_areas(y, x, zeta_m):
+def _shell_band_areas(y, dx, dz):
     """Mesh area of the hull shell per height band, both sides combined.
 
     The sampled surface is triangulated and summed per z band; chordal
@@ -261,20 +261,29 @@ def _shell_band_areas(y, x, zeta_m):
     slope blows up at the keel or the profile ends.  Quads whose corners
     all sit on the centerplane are not hull surface and are skipped.
 
-    y is (nz, nx); x and zeta_m (heights in LOA units) are 1-D.
+    y is (nz, nx).  dx is the x spacing, a scalar or an (nx-1,) row; dz is
+    the height spacing in LOA units, a scalar or an (nz-1, 1) column.
     Returns an (nz-1,) array of band areas.
     """
-    dx = x[1] - x[0]
-    dz = zeta_m[1] - zeta_m[0]
     flat = (dx * dz) ** 2
+
+    def triangles(p, q):
+        # |p dz, dx dz, q dx|: the cross product of a triangle with edge
+        # rises p along x and q along z, computed in place in p and q
+        p *= p
+        p *= dz
+        p *= dz
+        p += flat
+        q *= q
+        q *= dx
+        q *= dx
+        p += q
+        return np.sqrt(p, out=p)
+
     # cross products written out for the structured grid: triangle pairs
     # anchored at the lower-left and upper-right corners of each quad
-    a = y[:-1, 1:] - y[:-1, :-1]
-    b = y[1:, :-1] - y[:-1, :-1]
-    c = y[:-1, 1:] - y[1:, 1:]
-    e = y[1:, :-1] - y[1:, 1:]
-    tri = np.sqrt(a * a * dz * dz + flat + b * b * dx * dx)
-    tri += np.sqrt(e * e * dz * dz + flat + c * c * dx * dx)
+    tri = triangles(y[:-1, 1:] - y[:-1, :-1], y[1:, :-1] - y[:-1, :-1])
+    tri += triangles(y[1:, :-1] - y[1:, 1:], y[:-1, 1:] - y[1:, 1:])
     hull = (y[:-1, :-1] > 0) | (y[:-1, 1:] > 0) | (y[1:, :-1] > 0) | (y[1:, 1:] > 0)
     return (tri * hull).sum(axis=1)
 
@@ -288,7 +297,7 @@ def _measure_one(params, tstar, nz, nx):
 
     d = s.depth_ratio
     vol = 2.0 * d * np.trapezoid(np.trapezoid(y, x[0], axis=1), zeta[:, 0])
-    shell = _shell_band_areas(y, x[0], zeta[:, 0] * d).sum()
+    shell = _shell_band_areas(y, x[0, 1] - x[0, 0], (zeta[1, 0] - zeta[0, 0]) * d).sum()
 
     # flat bottom closes the hull when sections carry beam at the keel
     bottom = 2.0 * np.trapezoid(y[0], x[0])
@@ -326,24 +335,39 @@ def measure_curves(params: HullParams, *, substations: int = 20,
     per-mark values are cumulative sums of the band integrals.  Band
     contributions are non-negative, so volume and area are non-decreasing
     across marks by construction.
+
+    Two places get denser stations, where even spacing misses the
+    first-mark volume by more than 1%: the first band is graded
+    quadratically toward the keel, where the section factor
+    (zeta / deadrise)^(1 / section_fullness) has an infinite slope, and
+    BULB_X_NODES x-stations span a bow bulb, which can be shorter than
+    two even x-steps.
     """
     require_evaluable(params)
     s = params
     d = s.depth_ratio
     n_marks = DRAFT_MARKS.size
-    zeta = np.linspace(0.0, 1.0, n_marks * substations + 1)[:, None]
-    x = np.linspace(0.0, 1.0, nx)[None, :]
+    zeta = np.linspace(0.0, 1.0, n_marks * substations + 1)
+    zeta[:substations] = zeta[substations] * (np.arange(substations) / substations) ** 2
+    zeta = zeta[:, None]
+    x = np.linspace(0.0, 1.0, nx)
+    dx = x[1] - x[0]
+    if s.bulb_len > 0.0:
+        xc = _bulb_center(s)
+        x = np.union1d(x, np.linspace(xc - s.bulb_len, xc + s.bulb_len, BULB_X_NODES))
+        dx = np.diff(x)
+    dz = np.diff(zeta[:, 0])
+    x = x[None, :]
     y = _half_breadth_grid(s, x, zeta)
 
     width = np.trapezoid(y, x[0], axis=1)              # waterplane half-area
-    shell_bands = _shell_band_areas(y, x[0], zeta[:, 0] * d)
+    shell_bands = _shell_band_areas(y, dx, d * dz[:, None])
     cap_rows = np.zeros_like(width)
     if s.run_frac == 0.0 and s.stern_rake == 0.0:
         cap_rows += y[:, 0]
     if s.entrance_frac == 0.0 and s.bow_rake == 0.0:
         cap_rows += y[:, -1]
 
-    dz = zeta[1, 0] - zeta[0, 0]
     def cumulative(bands):
         return np.cumsum(bands)[substations - 1::substations]
 

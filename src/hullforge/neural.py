@@ -296,6 +296,15 @@ def read_block(fh, tag: str, shape: tuple) -> np.ndarray:
     return arr
 
 
+def read_sizes(fields, source) -> tuple:
+    """Integer sizes from an archive header; anything else is not an archive."""
+    try:
+        return tuple(int(v) for v in fields)
+    except ValueError:
+        raise RepresentationError(
+            f"non-integer size in archive header {' '.join(fields)!r}: {source}") from None
+
+
 def write_mlp(fh, model: MlpModel) -> None:
     """The MLP block: the header line, then W{i} and b{i} per layer."""
     fh.write(f"mlp {' '.join(map(str, model.sizes))} tanh {model.head}\n")
@@ -311,7 +320,7 @@ def read_mlp(fh, source) -> MlpModel:
         raise RepresentationError(f"not a weight archive: {source}")
     if header[-2] != "tanh":
         raise RepresentationError(f"unsupported activation {header[-2]!r}")
-    sizes = tuple(int(v) for v in header[1:-2])
+    sizes = read_sizes(header[1:-2], source)
     weights, biases = [], []
     for i in range(len(sizes) - 1):
         weights.append(read_block(fh, f"W{i}", sizes[i:i + 2]))

@@ -1,9 +1,11 @@
+import ctypes
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from hullforge import dataset
 from hullforge.config import WaterConstants
 from hullforge.dataset import (DATASET_FIELDS, Normalizer, build_dataset,
                                classifier_rows, fit_normalizer, geometry_rows,
@@ -69,6 +71,29 @@ def test_build_dataset_schedule_independent():
         assert np.array_equal(a.params.shape, b.params.shape)
         if a.feasible:
             assert np.array_equal(a.grid.rw, b.grid.rw)
+
+
+def _openblas_threads(*_):
+    """Thread count of the loaded OpenBLAS, or None without one."""
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    for path in libs:
+        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if fn is not None:
+            fn.restype, fn.argtypes = ctypes.c_int, []
+            return fn()
+    return None
+
+
+def test_build_dataset_pool_workers_run_one_blas_thread(monkeypatch):
+    parent = _openblas_threads()
+    if parent is None:
+        pytest.skip("no OpenBLAS loaded")
+    # each pool job reports its worker's thread count instead of a hull
+    monkeypatch.setattr(dataset, "_build_one", _openblas_threads)
+    records = build_dataset(4, seed=5, workers=2)
+    assert records[:4] == [1, 1, 1, 1]
+    assert _openblas_threads() == parent
 
 
 def test_build_dataset_rejects_bad_count():

@@ -196,8 +196,9 @@ def test_denoiser_archive_roundtrip(tmp_path, mini_stacked):
 
 @pytest.mark.parametrize("old,new", [(" tanh linear", " relu linear"),
                                      ("W0 ", "W1 "),
-                                     ("denoiser 3 2 4 50", "denoiser 3 2")],
-                         ids=["activation", "tag", "header"])
+                                     ("denoiser 3 2 4 50", "denoiser 3 2"),
+                                     ("denoiser 3 2 4 50", "denoiser 3 x 4 50")],
+                         ids=["activation", "tag", "header", "size"])
 def test_denoiser_archive_rejects_bad_blocks(tmp_path, old, new):
     model = init_denoiser(3, 2, linear_schedule(50), hidden=(4,), embed_dim=4)
     path = tmp_path / "denoiser.txt"

@@ -117,6 +117,22 @@ def test_measure_at_box_value(box_hull):
     assert wl == 1.0
 
 
+@pytest.mark.parametrize("shape,nx,nzeta", [
+    # (zeta / deadrise)^(1 / section_fullness) has an infinite slope at the keel
+    (dict(section_fullness=5.5, deadrise_frac=0.03), 1025, 2049),
+    # a bulb shorter than two of measure_curves' even x-steps
+    (dict(section_fullness=1.0, bulb_len=0.006, bulb_radius=0.07,
+          bulb_height=0.04), 8193, 257)], ids=["sharp-keel", "short-bulb"])
+def test_first_mark_volume_matches_fine_integration(shape, nx, nzeta):
+    # even stations put these first-mark volumes 1.2% and 2.4% low
+    hull = make_hull(1.0, **shape)
+    x = np.linspace(0.0, 1.0, nx)
+    zeta = np.linspace(0.0, DRAFT_MARKS[0], nzeta)
+    y = half_breadth(hull, x[None, :], zeta[:, None])
+    want = 2.0 * hull.depth_ratio * np.trapezoid(np.trapezoid(y, x, axis=1), zeta)
+    assert measure_curves(hull).vol[0] == pytest.approx(want, rel=0.003)
+
+
 def test_measure_infeasible_raises():
     with pytest.raises(FeasibilityError):
         measure_curves(make_hull(run_frac=0.6, entrance_frac=0.6))

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hullforge.errors import DomainError, SingularityError
+from hullforge.errors import (DomainError, QuadratureAccuracyWarning,
+                              SingularityError)
 from hullforge.geometry import SlopeField, centerplane_slopes
 from hullforge.hydro import (GRID_COLUMNS, FlowCondition, ResistanceGrid,
+                             _linexp_weights, _wave_amplitude,
                              friction_coefficient, friction_resistance,
                              froude_number, grid_from_row, grid_to_row,
                              interpolate_rw, michell_wave_resistance,
@@ -67,6 +69,15 @@ def test_michell_zero_slopes_zero_resistance(wedge_hull):
     silent = SlopeField(field.x, field.z, np.zeros_like(field.dydx))
     cond = FlowCondition(speed=1.0, loa=1.0, tstar=0.5)
     assert michell_wave_resistance(silent, cond) == 0.0
+
+
+def test_michell_zero_field_ends_tail_without_warning(wedge_hull):
+    field = centerplane_slopes(wedge_hull, 0.5, 64, 24)
+    silent = SlopeField(field.x, field.z, np.zeros_like(field.dydx))
+    cond = FlowCondition(speed=1.0, loa=1.0, tstar=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureAccuracyWarning)
+        assert michell_wave_resistance(silent, cond) == 0.0
 
 
 def test_michell_beam_squared_scaling(wedge_hull):
@@ -149,6 +160,38 @@ def test_michell_tail_truncation_negligible(wedge_hull):
     pref = hydro.MICHELL_PREFACTOR * cond.rho * cond.g**2 / (np.pi * cond.speed**2)
     extended = pref * hydro._simpson(vals, theta[1] - theta[0])
     assert base == pytest.approx(extended, rel=1e-4)
+
+
+def _direct_amplitude(field, k0, lam):
+    """I + iJ from a full phase table exp(i mu x), with the piecewise-linear
+    cell weights of each z cell taken from its top node (so e^{-h} <= 1)."""
+    x, z, f = field.x, field.z, field.dydx
+    dx, dz = x[1] - x[0], z[1] - z[0]
+    kappa, mu = k0 * lam**2, k0 * lam
+    a, b = _linexp_weights(-kappa[:, None] * dz)
+    top = np.exp(kappa[:, None] * z[None, 1:])
+    wz = np.zeros((lam.size, z.size))
+    wz[:, :-1] += dz * b * top
+    wz[:, 1:] += dz * a * top
+    g = wz @ f.T
+    ax, bx = _linexp_weights(1j * mu[:, None] * dx)
+    phase = np.exp(1j * np.outer(mu, x))
+    return dx * ((ax * g[:, :-1] + bx * g[:, 1:]) * phase[:, :-1]).sum(axis=1)
+
+
+@pytest.mark.parametrize("nx,nz,fn", [(512, 48, 0.30), (1536, 96, 0.10)])
+def test_wave_amplitude_matches_direct_phase_table(reference_hull, nx, nz, fn):
+    # theta from 0 to 14 spans lambda = 1 .. cosh(14); far out, the phase
+    # of either sum is good to ~mu x eps only, so the bound is on the
+    # largest amplitude rather than node by node
+    from hullforge.geometry import HullParams
+
+    field = centerplane_slopes(HullParams(1.0, reference_hull.shape), 0.5, nx, nz)
+    k0 = 9.81 / speed_from_froude(fn, 1.0, 1.0) ** 2
+    lam = np.cosh(np.linspace(0.0, 14.0, 1001))
+    got = _wave_amplitude(field, k0, lam)
+    want = _direct_amplitude(field, k0, lam)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_interpolate_rw_nodes_and_midpoints():

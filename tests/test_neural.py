@@ -157,6 +157,13 @@ def test_weight_archive_validates_shapes(tmp_path):
         load_weights(path)
 
 
+def test_weight_archive_rejects_non_integer_size(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("mlp 3 x tanh linear\n")
+    with pytest.raises(RepresentationError, match="non-integer size"):
+        load_weights(path)
+
+
 def test_r_squared_perfect_fit():
     model = linear_model([3.0])
     x = np.linspace(-1, 1, 20)[:, None]
