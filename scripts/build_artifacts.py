@@ -9,7 +9,6 @@ if its artifact directory already exists, so interrupted builds resume.
 
 import sys
 import time
-import warnings
 from pathlib import Path
 
 from hullforge.config import PipelineConfig, cache_key
@@ -21,7 +20,6 @@ def main() -> int:
     out = Path(__file__).resolve().parent.parent / ".acceptance-cache" / \
         f"desk-{cache_key(cfg)}"
     print(f"building desk artifacts in {out}")
-    warnings.simplefilter("ignore")
 
     for name, run, marker in pipeline_stages(cfg, out):
         if marker.exists():

@@ -21,9 +21,9 @@ import numpy as np
 from .config import (COND_TSTAR_RANGE, FROUDE_RANGE, LOA_RANGE, LOG10_LOA_RANGE,
                      TSTAR_RANGE, WaterConstants)
 from .errors import DomainError, GenerationError, RepresentationError
-from .geometry import (BOX_BOUNDS, DRAFT_MARKS, HULL_FIELDS, N_SHAPE,
-                       SHAPE_NAMES, GeoCurves, HullParams, hull_from_row,
-                       hull_to_row, measure_curves, validate)
+from .geometry import (BOX_BOUNDS, DRAFT_MARKS, HULL_FIELDS, SHAPE_NAMES,
+                       GeoCurves, HullParams, hull_from_row, hull_to_row,
+                       measure_curves, validate)
 from .hydro import (GRID_COLUMNS, ResistanceGrid, froude_speed, grid_from_row,
                     grid_lookup, grid_to_row, resistance_coefficient,
                     resistance_grid, skin_friction)
@@ -52,18 +52,16 @@ def _random_loa(rng) -> float:
     return float(10.0 ** rng.uniform(lo, hi))
 
 
-def sample_random_hull(rng: np.random.Generator, *,
-                       bulb_prob: float = BULB_PROBABILITY,
-                       max_tries: int = REJECTION_BUDGET) -> HullParams:
+def sample_random_hull(rng: np.random.Generator) -> HullParams:
     """Uniform draw inside the parameter box, rejected until the composite
     constraints pass.
 
-    The bulb arm is decided first (probability ``bulb_prob``) and rejection
-    happens within the arm, so the bulb share is preserved exactly.
-    Bulbless hulls carry zeros for all three bulb parameters.
+    The bulb arm is decided first (probability BULB_PROBABILITY) and
+    rejection happens within the arm, so the bulb share is preserved
+    exactly.  Bulbless hulls carry zeros for all three bulb parameters.
     """
-    with_bulb = rng.random() < bulb_prob
-    for _ in range(max_tries):
+    with_bulb = rng.random() < BULB_PROBABILITY
+    for _ in range(REJECTION_BUDGET):
         shape = rng.uniform(_LO, _HI)
         if not with_bulb:
             shape[_BULB_IDX] = 0.0
@@ -72,7 +70,7 @@ def sample_random_hull(rng: np.random.Generator, *,
         params = HullParams(_random_loa(rng), shape)
         if validate(params).feasible:
             return params
-    raise GenerationError(f"no feasible hull in {max_tries} draws")
+    raise GenerationError(f"no feasible hull in {REJECTION_BUDGET} draws")
 
 
 def sample_infeasible_vector(rng: np.random.Generator) -> HullParams:
@@ -329,8 +327,7 @@ def _interp_marks(table: np.ndarray, idx: np.ndarray, tstar: np.ndarray) -> np.n
 
 
 def resistance_rows(data: StackedDataset, rng: np.random.Generator, n_rows: int,
-                    water: WaterConstants | None = None,
-                    record_idx: np.ndarray | None = None):
+                    water: WaterConstants | None = None):
     """Vectorized Table-style training rows: X = [x_hat, t*, F_n, log LOA], y = C_T.
 
     Froude numbers below the wave-resistance grid floor use the clamped
@@ -338,8 +335,7 @@ def resistance_rows(data: StackedDataset, rng: np.random.Generator, n_rows: int,
     0.05, where wave resistance is negligible against friction).
     """
     water = water or WaterConstants()
-    idx = (rng.integers(0, data.n, n_rows) if record_idx is None
-           else np.asarray(record_idx))
+    idx = rng.integers(0, data.n, n_rows)
     tstar = rng.uniform(*TSTAR_RANGE, n_rows)
     fn = rng.uniform(*FROUDE_RANGE, n_rows)
     log_loa = rng.uniform(*LOG10_LOA_RANGE, n_rows)
@@ -373,15 +369,13 @@ def surrogate_rows(waterline, x_norm, tstar: float, speed: float, loa: float,
     return resistance_inputs(x_norm, tcol, fn, np.full(len(x_norm), math.log10(loa)))
 
 
-def geometry_rows(data: StackedDataset, rng: np.random.Generator, n_rows: int,
-                  record_idx: np.ndarray | None = None):
+def geometry_rows(data: StackedDataset, rng: np.random.Generator, n_rows: int):
     """Rows for the volume / waterline regressors: X = [x_hat, t*].
 
     Drafts span the full conditioning range COND_TSTAR_RANGE because these
     models are queried at conditioning time, not just at simulation drafts.
     """
-    idx = (rng.integers(0, data.n, n_rows) if record_idx is None
-           else np.asarray(record_idx))
+    idx = rng.integers(0, data.n, n_rows)
     tstar = rng.uniform(*COND_TSTAR_RANGE, n_rows)
     vol = _interp_marks(data.vols, idx, tstar)
     wl = _interp_marks(data.wls, idx, tstar)

@@ -24,15 +24,16 @@ from .hydro import (FlowCondition, friction_resistance, michell_wave_resistance,
 from .neural import MlpModel
 
 TOLERANCE_BANDS = (0.01, 0.05, 0.10)
+VOLUME_BAND = 0.05      # the volume-error band of the summary and comparison
+KDE_GRID = 256
 
 
 def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def volume_error_fraction(feasibility_rate: float, mean: float, std: float,
-                          tol: float = 0.05) -> float:
-    """Expected fraction of samples inside the volume-error band.
+def volume_error_fraction(feasibility_rate: float, mean: float, std: float) -> float:
+    """Expected fraction of samples inside the VOLUME_BAND volume-error band.
 
     Gaussian model of the error distribution scaled by the feasibility
     rate; a zero spread degenerates to the indicator of the mean being
@@ -41,10 +42,10 @@ def volume_error_fraction(feasibility_rate: float, mean: float, std: float,
     if std < 0:
         raise DomainError("standard deviation must be non-negative")
     if std == 0.0:
-        inside = 1.0 if abs(mean) <= tol else 0.0
+        inside = 1.0 if abs(mean) <= VOLUME_BAND else 0.0
         return feasibility_rate * inside
-    hi = normal_cdf((tol - mean) / std)
-    lo = normal_cdf((-tol - mean) / std)
+    hi = normal_cdf((VOLUME_BAND - mean) / std)
+    lo = normal_cdf((-VOLUME_BAND - mean) / std)
     return feasibility_rate * (hi - lo)
 
 
@@ -116,7 +117,7 @@ def audit_samples(shapes_norm, case: TestCase, resistance: MlpModel,
     return out
 
 
-def audit_stats(audits, tol: float = 0.05) -> dict:
+def audit_stats(audits) -> dict:
     """Feasibility rate, error moments, and the in-band volume fraction."""
     n = len(audits)
     feas = [a for a in audits if a.feasible]
@@ -128,7 +129,7 @@ def audit_stats(audits, tol: float = 0.05) -> dict:
         stats[f"{name}_std"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
     if feas:
         stats["volume_in_band"] = volume_error_fraction(
-            rate, stats["vol_err_mean"], stats["vol_err_std"], tol)
+            rate, stats["vol_err_mean"], stats["vol_err_std"])
     else:
         stats["volume_in_band"] = 0.0
     return stats
@@ -164,13 +165,13 @@ def fit_pca2(train) -> Pca2:
                 explained_ratio=var[:2] / var.sum())
 
 
-def kde(values, n_grid: int = 256):
+def kde(values):
     """Gaussian KDE with Silverman bandwidth.
 
-    Returns (grid, density).  The grid spans the data plus four bandwidths
-    per side, wide enough that the trapezoid mass stays within 1e-3 of one
-    even for two-point samples.  Constant data degenerates to a narrow
-    spike with a warning.
+    Returns (grid, density) on KDE_GRID points.  The grid spans the data
+    plus four bandwidths per side, wide enough that the trapezoid mass
+    stays within 1e-3 of one even for two-point samples.  Constant data
+    degenerates to a narrow spike with a warning.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size < 2:
@@ -183,7 +184,7 @@ def kde(values, n_grid: int = 256):
         h = max(abs(values[0]), 1.0) * 1e-3
     else:
         h = 0.9 * spread * values.size ** (-0.2)
-    grid = np.linspace(values.min() - 4 * h, values.max() + 4 * h, n_grid)
+    grid = np.linspace(values.min() - 4 * h, values.max() + 4 * h, KDE_GRID)
     z = (grid[:, None] - values[None, :]) / h
     density = np.exp(-0.5 * z**2).sum(axis=1) / (values.size * h * math.sqrt(2 * math.pi))
     return grid, density
@@ -197,7 +198,7 @@ def kde(values, n_grid: int = 256):
 class ComparisonReport:
     """Counts of sampled hulls that beat the optimizer's best simulation."""
 
-    nsga_min_rt: float
+    nsga_min_rt: float           # inf when no NSGA-II hull audits as feasible
     counts: dict                 # tolerance band -> count of lower-R_T hulls
     sample_min_rt: float | None  # min simulated R_T inside the 5% band
     delta_rt: float | None       # (sample_min - nsga_min) / nsga_min
@@ -206,24 +207,25 @@ class ComparisonReport:
 
 def compare(audits_sampled, audits_nsga) -> ComparisonReport:
     """Count sampled hulls with simulated R_T below the optimizer minimum,
-    per volume-error tolerance band."""
-    nsga_rt = [a.simulated_rt for a in audits_nsga if a.feasible]
-    if not nsga_rt or not audits_sampled:
+    per volume-error tolerance band.
+
+    An optimizer population with no feasible audit has minimum inf: every
+    feasible in-band sample beats it, and ``delta_rt`` is None.
+    """
+    if not audits_nsga or not audits_sampled:
         raise DomainError("comparison needs non-empty audit sets")
-    nsga_min = min(nsga_rt)
+    nsga_min = min((a.simulated_rt for a in audits_nsga if a.feasible),
+                   default=math.inf)
 
     feas = [a for a in audits_sampled if a.feasible]
     counts = {}
     for tol in TOLERANCE_BANDS:
         inside = [a for a in feas if abs(a.vol_err) <= tol]
         counts[tol] = sum(1 for a in inside if a.simulated_rt < nsga_min)
-    in_five = [a.simulated_rt for a in feas if abs(a.vol_err) <= 0.05]
-    if in_five:
-        sample_min = min(in_five)
-        delta = (sample_min - nsga_min) / nsga_min
-    else:
-        sample_min = None
-        delta = None
+    in_band = [a.simulated_rt for a in feas if abs(a.vol_err) <= VOLUME_BAND]
+    sample_min = min(in_band) if in_band else None
+    delta = (None if sample_min is None or math.isinf(nsga_min)
+             else (sample_min - nsga_min) / nsga_min)
     return ComparisonReport(nsga_min_rt=float(nsga_min), counts=counts,
                             sample_min_rt=sample_min, delta_rt=delta,
                             n_feasible=len(feas))

@@ -26,7 +26,6 @@ representable for verification.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +73,7 @@ DRAFT_MARKS = np.linspace(0.01, 1.0, 100)
 # Default section-integration resolution (z-stations per draft mark, x-stations).
 MEASURE_NZ = 200
 MEASURE_NX = 256
+SUBSTATIONS = 20    # measure_curves height stations per draft-mark band
 BULB_X_NODES = 33   # extra measure_curves x-stations across a bow bulb
 
 
@@ -322,15 +322,14 @@ def measure_at(params: HullParams, tstar: float, *, nz: int = MEASURE_NZ,
     return _measure_one(params, tstar, nz, nx)
 
 
-def measure_curves(params: HullParams, *, substations: int = 20,
-                   nx: int = MEASURE_NX) -> GeoCurves:
+def measure_curves(params: HullParams) -> GeoCurves:
     """Integrate sections at the 100 draft marks.
 
     Volume is normalized by LOA^3, wetted area by LOA^2 (bottom, sides and
     submerged transom end caps; nothing above the waterline), waterline
     length by LOA.
 
-    All marks share one global height grid (``substations`` trapezoid
+    All marks share one global height grid (SUBSTATIONS trapezoid
     stations per mark band, nodes placed exactly on the marks) and the
     per-mark values are cumulative sums of the band integrals.  Band
     contributions are non-negative, so volume and area are non-decreasing
@@ -347,10 +346,10 @@ def measure_curves(params: HullParams, *, substations: int = 20,
     s = params
     d = s.depth_ratio
     n_marks = DRAFT_MARKS.size
-    zeta = np.linspace(0.0, 1.0, n_marks * substations + 1)
-    zeta[:substations] = zeta[substations] * (np.arange(substations) / substations) ** 2
+    zeta = np.linspace(0.0, 1.0, n_marks * SUBSTATIONS + 1)
+    zeta[:SUBSTATIONS] = zeta[SUBSTATIONS] * (np.arange(SUBSTATIONS) / SUBSTATIONS) ** 2
     zeta = zeta[:, None]
-    x = np.linspace(0.0, 1.0, nx)
+    x = np.linspace(0.0, 1.0, MEASURE_NX)
     dx = x[1] - x[0]
     if s.bulb_len > 0.0:
         xc = _bulb_center(s)
@@ -369,7 +368,7 @@ def measure_curves(params: HullParams, *, substations: int = 20,
         cap_rows += y[:, -1]
 
     def cumulative(bands):
-        return np.cumsum(bands)[substations - 1::substations]
+        return np.cumsum(bands)[SUBSTATIONS - 1::SUBSTATIONS]
 
     vol = 2.0 * d * cumulative(0.5 * (width[1:] + width[:-1]) * dz)
     bottom = 2.0 * np.trapezoid(y[0], x[0])

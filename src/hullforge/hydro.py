@@ -239,12 +239,11 @@ def _simpson(y: np.ndarray, dx: float) -> float:
 
 
 def michell_wave_resistance(slopes: SlopeField, cond: FlowCondition, *,
-                            n_theta: int = DEFAULT_THETA_NODES,
-                            warn_threshold: float = REFINEMENT_WARN) -> float:
+                            n_theta: int = DEFAULT_THETA_NODES) -> float:
     """Wave-making resistance in Newtons for a centerplane slope field.
 
     The result is checked against the same integral on every other theta
-    node; disagreement above ``warn_threshold`` raises a
+    node; disagreement above REFINEMENT_WARN raises a
     QuadratureAccuracyWarning (the value is still returned).  The theta
     range is extended until its last block contributes less than 1e-6 of
     the running total.
@@ -285,7 +284,7 @@ def michell_wave_resistance(slopes: SlopeField, cond: FlowCondition, *,
     if vals.size >= 5 and vals.size % 2 == 1:
         coarse = prefac * _simpson(vals[::2], 2.0 * dthe)
         gap = abs(rw - coarse) / rw if rw > 0 else 0.0
-        if gap > warn_threshold:
+        if gap > REFINEMENT_WARN:
             warnings.warn(
                 f"Michell quadrature self-check disagrees by {gap:.1%}",
                 QuadratureAccuracyWarning, stacklevel=2)

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import RepresentationError, TrainingError
 
 HEADS = ("linear", "sigmoid")
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's defaults
 
 
 def _sigmoid(x):
@@ -124,16 +125,6 @@ class MlpModel:
                 delta = delta @ self.weights[i].T
         return dws, dbs, delta
 
-    def backprop(self, x, dout):
-        """Parameter gradients and input gradient for upstream dL/d(head input).
-
-        ``dout`` is dL/dz of the final pre-head layer (the caller folds any
-        head nonlinearity and loss derivative in).  Returns (dws, dbs, dx).
-        """
-        x = self._check(x)
-        acts, pre = self._forward_cached(x)
-        return self._backward(acts, pre, dout)
-
 
 def init_mlp(in_dim: int, hidden: tuple, out_dim: int, head: str,
              rng: np.random.Generator) -> MlpModel:
@@ -169,23 +160,23 @@ class TrainResult:
 class Adam:
     """Per-parameter adaptive steps; operates on a flat list of arrays."""
 
-    def __init__(self, params, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = params
-        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+        self.lr = lr
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
     def step(self, grads):
         self.t += 1
-        b1t = 1.0 - self.b1**self.t
-        b2t = 1.0 - self.b2**self.t
+        b1t = 1.0 - ADAM_B1**self.t
+        b2t = 1.0 - ADAM_B2**self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_B1
+            m += (1.0 - ADAM_B1) * g
+            v *= ADAM_B2
+            v += (1.0 - ADAM_B2) * g * g
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 def _loss_and_delta(z, yb, kind):
@@ -230,28 +221,26 @@ def _train(model: MlpModel, x, y, cfg: TrainConfig, loss_kind: str) -> TrainResu
     return TrainResult(model=model, final_loss=loss, loss_history=history)
 
 
-def train_regressor(x, y, cfg: TrainConfig, *, hidden=(256, 256, 256, 256),
-                    model: MlpModel | None = None) -> TrainResult:
-    """Minibatch Adam on mean-squared error; fresh Xavier net unless given."""
+def train_regressor(x, y, cfg: TrainConfig, *,
+                    hidden=(256, 256, 256, 256)) -> TrainResult:
+    """Minibatch Adam on mean-squared error from a fresh Xavier net."""
     x = np.asarray(x, dtype=float)
-    if model is None:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
-        out_dim = 1 if np.asarray(y).ndim == 1 else np.asarray(y).shape[1]
-        model = init_mlp(x.shape[1], hidden, out_dim, "linear", rng)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
+    out_dim = 1 if np.asarray(y).ndim == 1 else np.asarray(y).shape[1]
+    model = init_mlp(x.shape[1], hidden, out_dim, "linear", rng)
     return _train(model, x, y, cfg, "mse")
 
 
-def train_classifier(x, y, cfg: TrainConfig, *, hidden=(256, 256, 256, 256),
-                     model: MlpModel | None = None) -> TrainResult:
+def train_classifier(x, y, cfg: TrainConfig, *,
+                     hidden=(256, 256, 256, 256)) -> TrainResult:
     """Binary cross-entropy training of a logistic-output network."""
     y = np.asarray(y, dtype=float)
     classes = np.unique(y)
     if classes.size < 2:
         raise TrainingError("classifier training needs both classes present")
     x = np.asarray(x, dtype=float)
-    if model is None:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202]))
-        model = init_mlp(x.shape[1], hidden, 1, "sigmoid", rng)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202]))
+    model = init_mlp(x.shape[1], hidden, 1, "sigmoid", rng)
     return _train(model, x, y, cfg, "bce")
 
 

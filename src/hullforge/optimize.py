@@ -12,13 +12,13 @@ surrogate's mercy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import TestCase, WaterConstants
 from .dataset import surrogate_rows
-from .errors import DomainError, TrainingError
+from .errors import DomainError
 from .geometry import HullParams, measure_at, validate
 from .hydro import FlowCondition, predicted_total_resistance
 from .neural import MlpModel
@@ -26,6 +26,7 @@ from .neural import MlpModel
 SBX_ETA = 15.0
 MUTATION_ETA = 20.0
 CROSSOVER_PROB = 0.9
+VOLUME_NZ, VOLUME_NX = 160, 192   # measure_at stations of the volume constraint
 
 
 @dataclass
@@ -122,16 +123,17 @@ def _tournament(pop, rng) -> Individual:
     return a if a.crowding >= b.crowding else b
 
 
-def sbx_crossover(x1, x2, lower, upper, rng, eta=SBX_ETA, prob=CROSSOVER_PROB):
+def sbx_crossover(x1, x2, lower, upper, rng):
     """Simulated binary crossover, per-variable, clamped to the box."""
     c1, c2 = x1.copy(), x2.copy()
-    if rng.random() > prob:
+    if rng.random() > CROSSOVER_PROB:
         return c1, c2
     for i in range(x1.size):
         if rng.random() > 0.5 or x1[i] == x2[i]:
             continue
         u = rng.random()
-        beta = (2 * u) ** (1 / (eta + 1)) if u <= 0.5 else (1 / (2 - 2 * u)) ** (1 / (eta + 1))
+        beta = ((2 * u) ** (1 / (SBX_ETA + 1)) if u <= 0.5
+                else (1 / (2 - 2 * u)) ** (1 / (SBX_ETA + 1)))
         a = 0.5 * ((1 + beta) * x1[i] + (1 - beta) * x2[i])
         b = 0.5 * ((1 - beta) * x1[i] + (1 + beta) * x2[i])
         c1[i] = np.clip(a, lower[i], upper[i])
@@ -139,7 +141,7 @@ def sbx_crossover(x1, x2, lower, upper, rng, eta=SBX_ETA, prob=CROSSOVER_PROB):
     return c1, c2
 
 
-def polynomial_mutation(x, lower, upper, rng, eta=MUTATION_ETA, prob=None):
+def polynomial_mutation(x, lower, upper, rng, prob=None):
     """Deb's polynomial mutation with boundary-aware perturbation."""
     y = x.copy()
     if prob is None:
@@ -153,11 +155,11 @@ def polynomial_mutation(x, lower, upper, rng, eta=MUTATION_ETA, prob=None):
         d1 = (y[i] - lower[i]) / span
         d2 = (upper[i] - y[i]) / span
         u = rng.random()
-        mpow = 1.0 / (eta + 1.0)
+        mpow = 1.0 / (MUTATION_ETA + 1.0)
         if u < 0.5:
-            dq = (2 * u + (1 - 2 * u) * (1 - d1) ** (eta + 1)) ** mpow - 1.0
+            dq = (2 * u + (1 - 2 * u) * (1 - d1) ** (MUTATION_ETA + 1)) ** mpow - 1.0
         else:
-            dq = 1.0 - (2 * (1 - u) + 2 * (u - 0.5) * (1 - d2) ** (eta + 1)) ** mpow
+            dq = 1.0 - (2 * (1 - u) + 2 * (u - 0.5) * (1 - d2) ** (MUTATION_ETA + 1)) ** mpow
         y[i] = np.clip(y[i] + dq * span, lower[i], upper[i])
     return y
 
@@ -241,8 +243,7 @@ def population_summary(pop, gen: int) -> dict:
 
 def evaluate_individual(x_norm, case: TestCase, resistance: MlpModel,
                         waterline: MlpModel, normalizer,
-                        water: WaterConstants | None = None,
-                        volume_nz: int = 160, volume_nx: int = 192):
+                        water: WaterConstants | None = None):
     """Surrogate objectives (R_T, C_T) and total constraint violation.
 
     The draft is held at the case target, so t* = T / (depth_ratio * LOA)
@@ -268,7 +269,7 @@ def evaluate_individual(x_norm, case: TestCase, resistance: MlpModel,
         tstar = 1.0
 
     if report.feasible:
-        vol = measure_at(params, tstar, nz=volume_nz, nx=volume_nx)[0] * case.loa**3
+        vol = measure_at(params, tstar, nz=VOLUME_NZ, nx=VOLUME_NX)[0] * case.loa**3
         violation += max(0.0, 0.99 - vol / case.volume)
 
     rows = surrogate_rows(waterline, x_norm[None, :], tstar, case.speed, case.loa, water)

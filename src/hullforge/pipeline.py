@@ -22,21 +22,21 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, TestCase, config_hash
-from .dataset import (StackedDataset, build_dataset, classifier_rows,
-                      fit_normalizer, geometry_rows, load_normalizer,
-                      read_dataset_csv, read_meta, resistance_rows,
-                      save_normalizer, stack_records, write_dataset_csv,
-                      write_meta)
+from .dataset import (build_dataset, classifier_rows, fit_normalizer,
+                      geometry_rows, load_normalizer, read_dataset_csv,
+                      resistance_rows, save_normalizer, stack_records,
+                      write_dataset_csv, write_meta)
 from .diffusion import (ConditioningVector, GuidanceModels, NoiseSchedule,
                         linear_schedule, load_denoiser, sample_guided,
                         save_denoiser, train_diffusion)
 from .errors import ConfigurationError, DependencyError
 from .evaluate import (TOLERANCE_BANDS, audit_samples, audit_stats, compare,
                        fit_pca2, kde)
-from .geometry import HULL_FIELDS, HullParams, hull_to_row
+from .geometry import (HULL_FIELDS, HullParams, hull_from_row, hull_to_row,
+                       read_hull_csv, write_hull_csv)
 from .neural import (TrainConfig, accuracy, load_weights, r_squared,
                      save_weights, train_classifier, train_regressor)
-from .optimize import make_hull_problem, nsga2, population_summary
+from .optimize import make_hull_problem, nsga2
 
 SAMPLE_MODES = ("full", "classifier-only", "unguided")
 
@@ -47,6 +47,10 @@ MODEL_FILES = {
     "classifier": "classifier.txt",
     "denoiser": "denoiser.txt",
 }
+# the `train --which` group that writes each archive
+MODEL_GROUPS = {"resistance": "regressors", "volume": "regressors",
+                "waterline": "regressors", "classifier": "classifier",
+                "denoiser": "diffusion"}
 
 
 def _sha256(path: Path) -> str:
@@ -178,10 +182,15 @@ def cmd_gen_dataset(cfg: PipelineConfig, out_dir) -> Path:
     return target
 
 
-def _load_dataset(out_dir: Path):
+def _load_normalizer(out_dir: Path):
     ds_dir = _require(Path(out_dir) / "dataset", "gen-dataset")
-    records = read_dataset_csv(_require(ds_dir / "hulls.csv", "gen-dataset"))
-    normalizer = load_normalizer(_require(ds_dir / "normalizer.txt", "gen-dataset"))
+    return load_normalizer(_require(ds_dir / "normalizer.txt", "gen-dataset"))
+
+
+def _load_dataset(out_dir: Path):
+    normalizer = _load_normalizer(out_dir)
+    records = read_dataset_csv(_require(Path(out_dir) / "dataset" / "hulls.csv",
+                                        "gen-dataset"))
     return records, normalizer
 
 
@@ -276,7 +285,7 @@ def _load_models(out_dir: Path, *, need=tuple(MODEL_FILES),
                  present=()) -> GuidanceModels:
     """Parse the archives named in ``need``; those in ``present`` must exist."""
     mdir = _require(Path(out_dir) / "models", "train")
-    paths = {name: _require(mdir / fname, f"train --which {name}")
+    paths = {name: _require(mdir / fname, f"train --which {MODEL_GROUPS[name]}")
              for name, fname in MODEL_FILES.items() if name in need or name in present}
     loaded = {name: load_denoiser(paths[name]) if name == "denoiser"
               else load_weights(paths[name]) for name in need}
@@ -316,7 +325,7 @@ def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
     case = _case(cfg, case_name)
     gamma, lam0, lam1 = _mode_coefficients(cfg, mode)
     out_dir = Path(out_dir)
-    _records, normalizer = _load_dataset(out_dir)
+    normalizer = _load_normalizer(out_dir)
     need = ["denoiser"]
     for coef, nets in zip((gamma, lam0, lam1), GUIDANCE_NETS):
         if coef > 0:
@@ -337,9 +346,7 @@ def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
     target = out_dir / "samples" / case_name / mode
     mdir = out_dir / "models"
     with _lock(out_dir), _atomic_dir(target) as tmp:
-        hulls = [HullParams(case.loa, s) for s in shapes]
-        _write_csv(tmp / "hulls.csv", HULL_FIELDS,
-                   [hull_to_row(h) for h in hulls])
+        write_hull_csv(tmp / "hulls.csv", [HullParams(case.loa, s) for s in shapes])
         write_meta(tmp / "provenance.meta", {
             "case": case_name, "mode": mode, "n": n, "seed": seed,
             "gamma": gamma, "lambda0": lam0, "lambda1": lam1,
@@ -403,24 +410,18 @@ def cmd_optimize(cfg: PipelineConfig, out_dir, case_name: str,
 def _read_sample_vectors(out_dir: Path, case_name: str, mode: str, normalizer):
     path = _require(Path(out_dir) / "samples" / case_name / mode / "hulls.csv",
                     f"sample --case {case_name} --mode {mode}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        shapes = np.array([[float(v) for v in row[1:]] for row in reader])
-    return normalizer.normalize(shapes)
+    return normalizer.normalize(np.array([h.shape for h in read_hull_csv(path)]))
 
 
 def _read_population_vectors(out_dir: Path, case_name: str, normalizer):
     path = _require(Path(out_dir) / "optimize" / case_name / "population.csv",
                     f"optimize --case {case_name}")
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh:   # hull columns, then the objectives
         reader = csv.reader(fh)
         next(reader)
-        rows = [row for row in reader]
-    shapes = np.array([[float(v) for v in row[1:1 + 13]] for row in rows])
-    preds = np.array([float(row[-3]) for row in rows])
-    violations = np.array([float(row[-1]) for row in rows])
-    return normalizer.normalize(shapes), preds, violations
+        shapes = np.array([hull_from_row(row[:len(HULL_FIELDS)]).shape
+                           for row in reader])
+    return normalizer.normalize(shapes)
 
 
 def _pearson(a, b) -> float:
@@ -437,19 +438,14 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
     records, normalizer = _load_dataset(out_dir)
     models = _load_models(out_dir, need=("resistance", "waterline"))
 
-    arms = {}
-    for mode in SAMPLE_MODES:
-        vectors = _read_sample_vectors(out_dir, case_name, mode, normalizer)
-        arms[mode] = audit_samples(vectors, case, models.resistance,
-                                   models.waterline, normalizer, cfg.water,
-                                   n_theta=cfg.theta_nodes, plane_nx=cfg.plane_nx,
-                                   plane_nz=cfg.plane_nz)
-    nsga_vec, nsga_pred, nsga_viol = _read_population_vectors(out_dir, case_name,
-                                                              normalizer)
-    nsga_audits = audit_samples(nsga_vec, case, models.resistance,
-                                models.waterline, normalizer, cfg.water,
-                                n_theta=cfg.theta_nodes, plane_nx=cfg.plane_nx,
-                                plane_nz=cfg.plane_nz)
+    vectors = {mode: _read_sample_vectors(out_dir, case_name, mode, normalizer)
+               for mode in SAMPLE_MODES}
+    vectors["nsga2"] = _read_population_vectors(out_dir, case_name, normalizer)
+    arms = {arm: audit_samples(vec, case, models.resistance, models.waterline,
+                               normalizer, cfg.water, n_theta=cfg.theta_nodes,
+                               plane_nx=cfg.plane_nx, plane_nz=cfg.plane_nz)
+            for arm, vec in vectors.items()}
+    nsga_audits = arms["nsga2"]
 
     target = out_dir / "evaluate" / case_name
     with _lock(out_dir), _atomic_dir(target) as tmp:
@@ -465,7 +461,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
                     yield (0, "", "", "", "", "")
 
         summary_rows = []
-        for mode, audits in {**arms, "nsga2": nsga_audits}.items():
+        for mode, audits in arms.items():
             _write_csv(tmp / f"audit_{mode}.csv", audit_header, audit_rows(audits))
             stats = audit_stats(audits)
             summary_rows.append((mode, stats["n"], stats["feasibility_rate"],
@@ -501,11 +497,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
             np.array([r.params.shape for r in records if r.feasible]))
         pca = fit_pca2(train_norm)
         pca_rows = []
-        for group, mat in (("dataset", train_norm),
-                           *((m, _read_sample_vectors(out_dir, case_name, m,
-                                                      normalizer))
-                             for m in SAMPLE_MODES),
-                           ("nsga2", nsga_vec)):
+        for group, mat in (("dataset", train_norm), *vectors.items()):
             for p in pca.project(mat):
                 pca_rows.append((group, float(p[0]), float(p[1])))
         _write_csv(tmp / "pca.csv", ("group", "pc1", "pc2"), pca_rows)
@@ -517,8 +509,8 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
             best = min(feas_idx, key=lambda i: nsga_audits[i].simulated_rt)
             a = nsga_audits[best]
             ratios["nsga_best_sim_over_surrogate"] = a.simulated_rt / a.surrogate_rt
-        for mode, audits in arms.items():
-            feas = [a for a in audits if a.feasible]
+        for mode in SAMPLE_MODES:
+            feas = [a for a in arms[mode] if a.feasible]
             ratios[f"corr_{mode}"] = _pearson([a.surrogate_rt for a in feas],
                                               [a.simulated_rt for a in feas])
         write_meta(tmp / "exploitation.meta", ratios)

@@ -122,6 +122,14 @@ def test_smoke_config_is_small():
     assert cfg.n_samples == 64
 
 
+def test_bundled_config_files_match_the_code_defaults():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    assert config_hash(load_config(configs / "smoke.cfg")) \
+        == config_hash(smoke_config()) == "57e46ddae32254a8"
+    assert config_hash(load_config(configs / "desk.cfg")) \
+        == config_hash(PipelineConfig()) == "807cff772da0d682"
+
+
 # -- CLI behaviour -------------------------------------------------------------
 
 def test_cli_help():
@@ -141,6 +149,19 @@ def test_cli_unknown_config_key_is_usage_error(tmp_path):
 def test_cli_missing_dependency_is_exit_2(tmp_path):
     code = main(["sample", "--case", "kayak", "--out", str(tmp_path / "empty")])
     assert code == 2
+
+
+def test_cli_missing_archive_names_its_training_group(tmp_path, capsys):
+    cfg = micro_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["gen-dataset", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    (out / "models" / "waterline.txt").unlink()
+    capsys.readouterr()
+    code = main(["optimize", "--case", "kayak", "--config", str(cfg),
+                 "--out", str(out)])
+    assert code == 2
+    assert "train --which regressors" in capsys.readouterr().err
 
 
 def test_cli_unknown_case_is_usage_error(tmp_path, capsys):

@@ -244,4 +244,17 @@ def test_compare_needs_data():
     with pytest.raises(DomainError):
         compare([], [_audit(1.0)])
     with pytest.raises(DomainError):
-        compare([_audit(1.0)], [SampleAudit(False)])
+        compare([_audit(1.0)], [])
+
+
+def test_compare_without_feasible_nsga_hull():
+    """An optimizer population with no feasible audit loses to every
+    feasible in-band sample; there is no relative gap to report."""
+    sampled = [_audit(9.0, 0.005), _audit(8.0, 0.04), _audit(7.0, 0.08),
+               _audit(6.0, 0.2), _audit(5.0, feasible=False)]
+    report = compare(sampled, [SampleAudit(False), SampleAudit(False)])
+    assert report.nsga_min_rt == math.inf
+    assert report.counts == {0.01: 1, 0.05: 2, 0.10: 3}
+    assert report.sample_min_rt == 8.0
+    assert report.delta_rt is None
+    assert report.n_feasible == 4
