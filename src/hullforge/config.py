@@ -1,27 +1,32 @@
 """Pipeline configuration: water constants, test cases, tunable knobs.
 
 Config files are flat ``key = value`` text with ``[section]`` headers
-(parsed with :mod:`configparser`).  Every knob has a documented default;
-unknown sections or keys are rejected so typos fail loudly.
+(parsed with :mod:`configparser`).  Every knob is a ``PipelineConfig``
+field that names its section and has a documented default; unknown
+sections or keys are rejected so typos fail loudly.  This module imports
+only ``errors``, so every other module can take shared defaults from it.
 """
-
-from __future__ import annotations
 
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
 
-# Seawater at 15 C.  The simulation papers this pipeline follows do not state
-# water constants, so they are pinned here and recorded in every manifest.
-@dataclass(frozen=True)
+
 class WaterConstants:
-    rho: float = 1025.0   # kg/m^3
-    g: float = 9.81       # m/s^2
-    nu: float = 1.19e-6   # m^2/s
+    """Seawater at 15 C, the water of every design case.
+
+    The simulation papers this pipeline follows do not state water
+    constants, so they are pinned here; ``gen-dataset`` records them in
+    ``dataset.meta``.
+    """
+
+    rho = 1025.0   # kg/m^3
+    g = 9.81       # m/s^2
+    nu = 1.19e-6   # m^2/s
 
 
 # Axes of the per-hull wave-resistance grid: 4 draft ratios x 8 Froude numbers.
@@ -32,10 +37,30 @@ GRID_FROUDE = (0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45)
 TSTAR_RANGE = (0.25, 0.67)
 FROUDE_RANGE = (0.05, 0.45)
 LOG10_LOA_RANGE = (0.47, 2.65)
-LOA_RANGE = (3.0, 450.0)
+LOA_RANGE = (3.0, 450.0)   # also the dataset's LOA draw and the feasibility box
 
 # Draft-ratio range used when conditioning the generative model.
 COND_TSTAR_RANGE = (0.01, 1.0)
+
+# Michell quadrature resolution.  Doubling every resolution (theta nodes, nx,
+# nz) moves the grid values of random dataset hulls by under 1% at Fn >= 0.25,
+# but by up to 2% at Fn 0.20 and 3.3% at Fn 0.10-0.15 (largest change over 32
+# hulls).  The x direction dominates the error (slope kinks get smeared by
+# sampling); the z integral is exact per cell and converges by nz ~ 48.
+THETA_NODES = 384
+PLANE_NX = 512
+PLANE_NZ = 48
+
+# Network and diffusion shapes: every network has HIDDEN_LAYERS tanh layers
+# of HIDDEN_UNITS units; the denoiser embeds timestep and conditioning in
+# EMBED_DIM dimensions, under a linear beta schedule stated for 1000 steps.
+HIDDEN_LAYERS = 4
+HIDDEN_UNITS = 256
+HIDDEN = (HIDDEN_UNITS,) * HIDDEN_LAYERS
+EMBED_DIM = 32
+TIMESTEPS = 1000
+BETA_START = 1e-4
+BETA_END = 0.02
 
 
 @dataclass(frozen=True)
@@ -76,53 +101,48 @@ def default_cases() -> dict[str, TestCase]:
     return {c.name: c for c in cases}
 
 
+def _knob(section: str, default):
+    """A PipelineConfig field read from and written to ``[section]``."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class PipelineConfig:
-    # [dataset]
-    n_hulls: int = 4096          # feasible hulls; an equal count of infeasible vectors is added
-    seed: int = 20240811
-    rows_per_hull: int = 128     # resistance-training rows drawn per hull
-    holdout_fraction: float = 0.125
-    workers: int = 0             # 0 -> use all CPUs
+    n_hulls: int = _knob("dataset", 4096)       # feasible hulls; as many infeasible vectors are added
+    seed: int = _knob("dataset", 20240811)
+    rows_per_hull: int = _knob("dataset", 128)  # resistance-training rows drawn per hull
+    holdout_fraction: float = _knob("dataset", 0.125)
+    workers: int = _knob("dataset", 0)          # 0 -> use all CPUs
 
-    # [water]
-    water: WaterConstants = field(default_factory=WaterConstants)
+    theta_nodes: int = _knob("michell", THETA_NODES)
+    plane_nx: int = _knob("michell", PLANE_NX)
+    plane_nz: int = _knob("michell", PLANE_NZ)
 
-    # [michell] quadrature defaults (see hydro module notes on sizing)
-    theta_nodes: int = 384
-    plane_nx: int = 512
-    plane_nz: int = 48
+    hidden_layers: int = _knob("network", HIDDEN_LAYERS)
+    hidden_units: int = _knob("network", HIDDEN_UNITS)
+    batch_size: int = _knob("network", 256)
+    learning_rate: float = _knob("network", 1e-3)
+    resistance_steps: int = _knob("network", 20000)
+    volume_steps: int = _knob("network", 8000)
+    waterline_steps: int = _knob("network", 8000)
+    classifier_steps: int = _knob("network", 5000)
+    diffusion_steps: int = _knob("network", 24000)
 
-    # [network]
-    hidden_layers: int = 4
-    hidden_units: int = 256
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    resistance_steps: int = 20000
-    volume_steps: int = 8000
-    waterline_steps: int = 8000
-    classifier_steps: int = 5000
-    diffusion_steps: int = 24000
+    timesteps: int = _knob("schedule", TIMESTEPS)
+    beta_start: float = _knob("schedule", BETA_START)
+    beta_end: float = _knob("schedule", BETA_END)
+    embed_dim: int = _knob("schedule", EMBED_DIM)
 
-    # [schedule]
-    timesteps: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-    embed_dim: int = 32
+    gamma: float = _knob("guidance", 0.2)
+    lambda0: float = _knob("guidance", 0.3)
+    lambda1: float = _knob("guidance", 0.3)
 
-    # [guidance]
-    gamma: float = 0.2
-    lambda0: float = 0.3
-    lambda1: float = 0.3
+    n_samples: int = _knob("sampling", 512)
 
-    # [sampling]
-    n_samples: int = 512
+    population: int = _knob("optimize", 100)
+    generations: int = _knob("optimize", 200)
 
-    # [optimize]
-    population: int = 100
-    generations: int = 200
-
-    # [case:*]
+    # [case:<name>] sections
     cases: dict[str, TestCase] = field(default_factory=default_cases)
 
     def __post_init__(self):
@@ -134,52 +154,27 @@ class PipelineConfig:
             raise ConfigurationError("network batch size and step counts must be >= 1")
         if not 0.0 < self.holdout_fraction < 0.5:
             raise ConfigurationError("dataset.holdout_fraction must be in (0, 0.5)")
+        if min(self.plane_nx, self.plane_nz) < 8:
+            raise ConfigurationError("michell.plane_nx and plane_nz must be >= 8")
+        if self.embed_dim < 2 or self.embed_dim % 2:
+            raise ConfigurationError("schedule.embed_dim must be even and >= 2")
+        if self.population < 4:
+            raise ConfigurationError("optimize.population must be >= 4")
         for name in ("gamma", "lambda0", "lambda1"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"guidance.{name} must be >= 0")
 
 
-# section -> {key: (attr, type)} for the flat config file format
-_SCHEMA = {
-    "dataset": {
-        "n_hulls": ("n_hulls", int),
-        "seed": ("seed", int),
-        "rows_per_hull": ("rows_per_hull", int),
-        "holdout_fraction": ("holdout_fraction", float),
-        "workers": ("workers", int),
-    },
-    "water": {"rho": ("water.rho", float), "g": ("water.g", float), "nu": ("water.nu", float)},
-    "michell": {
-        "theta_nodes": ("theta_nodes", int),
-        "plane_nx": ("plane_nx", int),
-        "plane_nz": ("plane_nz", int),
-    },
-    "network": {
-        "hidden_layers": ("hidden_layers", int),
-        "hidden_units": ("hidden_units", int),
-        "batch_size": ("batch_size", int),
-        "learning_rate": ("learning_rate", float),
-        "resistance_steps": ("resistance_steps", int),
-        "volume_steps": ("volume_steps", int),
-        "waterline_steps": ("waterline_steps", int),
-        "classifier_steps": ("classifier_steps", int),
-        "diffusion_steps": ("diffusion_steps", int),
-    },
-    "schedule": {
-        "timesteps": ("timesteps", int),
-        "beta_start": ("beta_start", float),
-        "beta_end": ("beta_end", float),
-        "embed_dim": ("embed_dim", int),
-    },
-    "guidance": {
-        "gamma": ("gamma", float),
-        "lambda0": ("lambda0", float),
-        "lambda1": ("lambda1", float),
-    },
-    "sampling": {"n_samples": ("n_samples", int)},
-    "optimize": {"population": ("population", int), "generations": ("generations", int)},
-}
+def _schema() -> dict:
+    """section -> the PipelineConfig fields stored there, in declaration order."""
+    schema = {}
+    for f in fields(PipelineConfig):
+        if "section" in f.metadata:
+            schema.setdefault(f.metadata["section"], {})[f.name] = f
+    return schema
 
+
+_SCHEMA = _schema()
 _CASE_KEYS = {"loa", "boa", "draft", "depth", "volume", "speed"}
 
 
@@ -190,7 +185,6 @@ def load_config(path) -> PipelineConfig:
     if not read:
         raise ConfigurationError(f"config file not found: {path}")
     cfg = PipelineConfig()
-    water = dict(rho=cfg.water.rho, g=cfg.water.g, nu=cfg.water.nu)
     cases = dict(cfg.cases)
 
     for section in parser.sections():
@@ -210,17 +204,12 @@ def load_config(path) -> PipelineConfig:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigurationError(f"unknown config key {section}.{key}")
-            attr, typ = _SCHEMA[section][key]
             try:
-                val = typ(raw)
+                val = _SCHEMA[section][key].type(raw)
             except ValueError as exc:
                 raise ConfigurationError(f"bad value for {section}.{key}: {raw!r}") from exc
-            if attr.startswith("water."):
-                water[attr.split(".", 1)[1]] = val
-            else:
-                setattr(cfg, attr, val)
+            setattr(cfg, key, val)
 
-    cfg.water = WaterConstants(**water)
     cfg.cases = cases
     cfg.__post_init__()
     return cfg
@@ -231,12 +220,8 @@ def dump_config(cfg: PipelineConfig) -> str:
     out = io.StringIO()
     for section, keys in _SCHEMA.items():
         out.write(f"[{section}]\n")
-        for key, (attr, _typ) in keys.items():
-            if attr.startswith("water."):
-                val = getattr(cfg.water, attr.split(".", 1)[1])
-            else:
-                val = getattr(cfg, attr)
-            out.write(f"{key} = {val!r}\n".replace("'", ""))
+        for key in keys:
+            out.write(f"{key} = {getattr(cfg, key)!r}\n".replace("'", ""))
         out.write("\n")
     for name in sorted(cfg.cases):
         c = cfg.cases[name]

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (COND_TSTAR_RANGE, FROUDE_RANGE, LOA_RANGE, LOG10_LOA_RANGE,
-                     TSTAR_RANGE, WaterConstants)
+                     PLANE_NX, PLANE_NZ, THETA_NODES, TSTAR_RANGE)
 from .errors import DomainError, GenerationError, RepresentationError
 from .geometry import (BOX_BOUNDS, DRAFT_MARKS, HULL_FIELDS, SHAPE_NAMES,
                        GeoCurves, HullParams, hull_from_row, hull_to_row,
-                       measure_curves, validate)
+                       measure_curves, validate, write_csv)
 from .hydro import (GRID_COLUMNS, ResistanceGrid, froude_speed, grid_from_row,
                     grid_lookup, grid_to_row, resistance_coefficient,
                     resistance_grid, skin_friction)
@@ -135,18 +135,18 @@ def _one_blas_thread() -> None:
 
 
 def _build_one(args):
-    seed, water, n_theta, nx, nz = args
+    seed, n_theta, nx, nz = args
     rng = np.random.default_rng(seed)
     params = sample_random_hull(rng)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         curves = measure_curves(params)
-        grid = resistance_grid(params, water, n_theta=n_theta, nx=nx, nz=nz)
+        grid = resistance_grid(params, n_theta=n_theta, nx=nx, nz=nz)
     return HullRecord(params, curves, grid, True)
 
 
-def build_dataset(n: int, seed: int, *, water: WaterConstants | None = None,
-                  n_theta: int = 384, nx: int = 512, nz: int = 48,
+def build_dataset(n: int, seed: int, *, n_theta: int = THETA_NODES,
+                  nx: int = PLANE_NX, nz: int = PLANE_NZ,
                   workers: int | None = None) -> list[HullRecord]:
     """n feasible records (curves + grids) followed by n infeasible vectors.
 
@@ -155,9 +155,8 @@ def build_dataset(n: int, seed: int, *, water: WaterConstants | None = None,
     """
     if n < 1:
         raise DomainError("dataset size must be >= 1")
-    water = water or WaterConstants()
     seeds = np.random.SeedSequence(seed).spawn(n + 1)
-    jobs = [(s, water, n_theta, nx, nz) for s in seeds[:n]]
+    jobs = [(s, n_theta, nx, nz) for s in seeds[:n]]
     if workers is None or workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_one_blas_thread) as pool:
@@ -326,15 +325,13 @@ def _interp_marks(table: np.ndarray, idx: np.ndarray, tstar: np.ndarray) -> np.n
     return table[idx, k] * (1.0 - frac) + table[idx, k + 1] * frac
 
 
-def resistance_rows(data: StackedDataset, rng: np.random.Generator, n_rows: int,
-                    water: WaterConstants | None = None):
+def resistance_rows(data: StackedDataset, rng: np.random.Generator, n_rows: int):
     """Vectorized Table-style training rows: X = [x_hat, t*, F_n, log LOA], y = C_T.
 
     Froude numbers below the wave-resistance grid floor use the clamped
     edge value (the grid starts at 0.10 while training samples down to
     0.05, where wave resistance is negligible against friction).
     """
-    water = water or WaterConstants()
     idx = rng.integers(0, data.n, n_rows)
     tstar = rng.uniform(*TSTAR_RANGE, n_rows)
     fn = rng.uniform(*FROUDE_RANGE, n_rows)
@@ -344,9 +341,9 @@ def resistance_rows(data: StackedDataset, rng: np.random.Generator, n_rows: int,
     sa = _interp_marks(data.areas, idx, tstar)
     wl = _interp_marks(data.wls, idx, tstar)
     rw = grid_lookup(data.rws, idx, tstar, fn) * loa**3
-    speed = fn * froude_speed(wl, loa, water.g)
-    rf = skin_friction(speed, sa, wl, loa, water)
-    c_t = resistance_coefficient(rw + rf, speed, loa, water.rho)
+    speed = fn * froude_speed(wl, loa)
+    rf = skin_friction(speed, sa, wl, loa)
+    c_t = resistance_coefficient(rw + rf, speed, loa)
     return resistance_inputs(data.norm_shapes[idx], tstar, fn, log_loa), c_t
 
 
@@ -355,8 +352,8 @@ def resistance_inputs(x_norm, tstar, fn, log_loa) -> np.ndarray:
     return np.column_stack([x_norm, tstar, fn, log_loa])
 
 
-def surrogate_rows(waterline, x_norm, tstar: float, speed: float, loa: float,
-                   water: WaterConstants) -> np.ndarray:
+def surrogate_rows(waterline, x_norm, tstar: float, speed: float,
+                   loa: float) -> np.ndarray:
     """Resistance-network rows for normalized hulls at one draft, speed, LOA.
 
     The waterline network's WL, floored at WL_FLOOR, sets the Froude number
@@ -365,7 +362,7 @@ def surrogate_rows(waterline, x_norm, tstar: float, speed: float, loa: float,
     """
     tcol = np.full(len(x_norm), tstar)
     wl_hat = np.maximum(waterline.predict(np.column_stack([x_norm, tcol])), WL_FLOOR)
-    fn = speed / froude_speed(wl_hat, loa, water.g)
+    fn = speed / froude_speed(wl_hat, loa)
     return resistance_inputs(x_norm, tcol, fn, np.full(len(x_norm), math.log10(loa)))
 
 
@@ -399,19 +396,18 @@ DATASET_FIELDS = HULL_FIELDS + ("feasible",) + _CURVE_COLUMNS + GRID_COLUMNS
 
 
 def write_dataset_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_FIELDS)
+    blank = [""] * (len(_CURVE_COLUMNS) + len(GRID_COLUMNS))
+
+    def rows():
         for rec in records:
-            row = [repr(float(v)) for v in hull_to_row(rec.params)]
-            row.append("1" if rec.feasible else "0")
+            row = hull_to_row(rec.params)
             if rec.feasible:
-                for arr in (rec.curves.vol, rec.curves.area, rec.curves.wl):
-                    row.extend(repr(float(v)) for v in arr)
-                row.extend(repr(float(v)) for v in grid_to_row(rec.grid))
+                yield row + ["1", *rec.curves.vol, *rec.curves.area, *rec.curves.wl,
+                             *grid_to_row(rec.grid)]
             else:
-                row.extend([""] * (len(_CURVE_COLUMNS) + len(GRID_COLUMNS)))
-            writer.writerow(row)
+                yield row + ["0"] + blank
+
+    write_csv(path, DATASET_FIELDS, rows())
 
 
 def read_dataset_csv(path) -> list[HullRecord]:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import COND_TSTAR_RANGE, TestCase, WaterConstants
+from .config import (BETA_END, BETA_START, COND_TSTAR_RANGE, EMBED_DIM, HIDDEN,
+                     TIMESTEPS, TestCase)
 from .dataset import StackedDataset, _interp_marks, surrogate_rows
 from .errors import (ConfigurationError, DomainError, RepresentationError,
                      TrainingError)
@@ -67,8 +68,8 @@ class NoiseSchedule:
         return float(self._sigmas[t - 1])
 
 
-def linear_schedule(timesteps: int = 1000, beta_start: float = 1e-4,
-                    beta_end: float = 0.02) -> NoiseSchedule:
+def linear_schedule(timesteps: int = TIMESTEPS, beta_start: float = BETA_START,
+                    beta_end: float = BETA_END) -> NoiseSchedule:
     """Linear beta schedule; the stated range is for 1000 steps and is
     rescaled by 1000/T for other step counts so the terminal noise level
     stays comparable."""
@@ -154,7 +155,7 @@ class DenoiserModel:
 
 
 def init_denoiser(x_dim: int, cond_dim: int, sched: NoiseSchedule,
-                  hidden=(256, 256, 256, 256), embed_dim: int = 32,
+                  hidden=HIDDEN, embed_dim: int = EMBED_DIM,
                   seed: int = 0) -> DenoiserModel:
     if embed_dim % 2:
         raise ConfigurationError("embedding dimension must be even")
@@ -168,8 +169,8 @@ def init_denoiser(x_dim: int, cond_dim: int, sched: NoiseSchedule,
 
 
 def train_denoiser(draw_batch, x_dim: int, cond_dim: int, sched: NoiseSchedule,
-                   cfg: TrainConfig, hidden=(256, 256, 256, 256),
-                   embed_dim: int = 32) -> DenoiserModel:
+                   cfg: TrainConfig, hidden=HIDDEN,
+                   embed_dim: int = EMBED_DIM) -> DenoiserModel:
     """Generic noise-prediction training.
 
     ``draw_batch(rng, size)`` returns (x0, cond) arrays.  Each step draws
@@ -202,7 +203,7 @@ def train_denoiser(draw_batch, x_dim: int, cond_dim: int, sched: NoiseSchedule,
 
 
 def train_diffusion(data, sched: NoiseSchedule, cfg: TrainConfig,
-                    hidden=(256, 256, 256, 256), embed_dim: int = 32) -> DenoiserModel:
+                    hidden=HIDDEN, embed_dim: int = EMBED_DIM) -> DenoiserModel:
     """Train the hull denoiser on a stacked feasible dataset.
 
     Each batch item pairs a normalized design vector with a conditioning
@@ -240,7 +241,7 @@ class GuidanceModels:
 def sample_guided(models: GuidanceModels, cond: ConditioningVector,
                   speed: float, loa: float, n: int, *, gamma: float,
                   lambda0: float, lambda1: float, sched: NoiseSchedule,
-                  seed: int, water: WaterConstants | None = None) -> np.ndarray:
+                  seed: int) -> np.ndarray:
     """Reverse diffusion with feasibility / resistance / volume guidance.
 
     Returns (n, x_dim) raw normalized design vectors; callers denormalize
@@ -256,7 +257,6 @@ def sample_guided(models: GuidanceModels, cond: ConditioningVector,
         raise ConfigurationError("lambda0 > 0 needs resistance and waterline models")
     if lambda1 > 0 and models.volume is None:
         raise ConfigurationError("lambda1 > 0 needs a volume model")
-    water = water or WaterConstants()
     den = models.denoiser
     rng = np.random.default_rng(seed)
     if n == 0:
@@ -275,7 +275,7 @@ def sample_guided(models: GuidanceModels, cond: ConditioningVector,
         if gamma > 0:
             step += gamma * models.feasibility.input_gradient(x)
         if lambda0 > 0:
-            inp = surrogate_rows(models.waterline, x, cond.tstar, speed, loa, water)
+            inp = surrogate_rows(models.waterline, x, cond.tstar, speed, loa)
             step -= lambda0 * models.resistance.input_gradient(inp)[:, :den.x_dim]
         if lambda1 > 0:
             v_hat, grad_v = models.volume.value_and_input_gradient(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TestCase, WaterConstants
+from .config import PLANE_NX, PLANE_NZ, THETA_NODES, TestCase
 from .dataset import surrogate_rows
 from .errors import (DegeneracyError, DomainError, FeasibilityError,
                      RepresentationError)
@@ -62,12 +62,9 @@ class SampleAudit:
 
 
 def audit_one(shape_norm, case: TestCase, resistance: MlpModel,
-              waterline: MlpModel, normalizer,
-              water: WaterConstants | None = None, *,
-              n_theta: int = 384, plane_nx: int = 512,
-              plane_nz: int = 48) -> SampleAudit:
+              waterline: MlpModel, normalizer, *, n_theta: int = THETA_NODES,
+              plane_nx: int = PLANE_NX, plane_nz: int = PLANE_NZ) -> SampleAudit:
     """Validate, measure, and re-simulate a single normalized design vector."""
-    water = water or WaterConstants()
     shape = normalizer.denormalize(np.asarray(shape_norm, dtype=float))
     params = HullParams(case.loa, shape)
     if not validate(params).feasible:
@@ -82,8 +79,7 @@ def audit_one(shape_norm, case: TestCase, resistance: MlpModel,
     beam_err = (shape[0] * case.loa - case.boa) / case.boa
     depth_err = (depth - case.depth) / case.depth
 
-    cond = FlowCondition(speed=case.speed, loa=case.loa, tstar=tstar,
-                         rho=water.rho, g=water.g, nu=water.nu)
+    cond = FlowCondition(speed=case.speed, loa=case.loa, tstar=tstar)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         slopes = centerplane_slopes(params, tstar, plane_nx, plane_nz)
@@ -92,15 +88,14 @@ def audit_one(shape_norm, case: TestCase, resistance: MlpModel,
     simulated = rw + rf
 
     rows = surrogate_rows(waterline, np.asarray(shape_norm, dtype=float)[None, :],
-                          tstar, case.speed, case.loa, water)
+                          tstar, case.speed, case.loa)
     surrogate = predicted_total_resistance(float(resistance.predict(rows)[0]), cond)
     return SampleAudit(True, float(vol_err), float(beam_err), float(depth_err),
                        float(surrogate), float(simulated))
 
 
 def audit_samples(shapes_norm, case: TestCase, resistance: MlpModel,
-                  waterline: MlpModel, normalizer,
-                  water: WaterConstants | None = None, **kw) -> list:
+                  waterline: MlpModel, normalizer, **kw) -> list:
     """Audit a batch of normalized design vectors.
 
     A hull the geometry or physics rejects (domain, feasibility or
@@ -110,8 +105,7 @@ def audit_samples(shapes_norm, case: TestCase, resistance: MlpModel,
     out = []
     for row in np.atleast_2d(np.asarray(shapes_norm, dtype=float)):
         try:
-            out.append(audit_one(row, case, resistance, waterline, normalizer,
-                                 water, **kw))
+            out.append(audit_one(row, case, resistance, waterline, normalizer, **kw))
         except (DomainError, FeasibilityError, RepresentationError):
             out.append(SampleAudit(feasible=False))
     return out

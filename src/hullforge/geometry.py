@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import LOA_RANGE
 from .errors import DomainError, FeasibilityError, RepresentationError
 
 SHAPE_NAMES = (
@@ -64,8 +65,6 @@ BOX_BOUNDS = {
     "bulb_radius": (0.0, 0.15),
     "bulb_height": (0.0, 0.15),
 }
-
-LOA_BOUNDS = (3.0, 450.0)
 
 # 100 evenly spaced draft marks in (0, 1].
 DRAFT_MARKS = np.linspace(0.01, 1.0, 100)
@@ -154,7 +153,7 @@ def validate(params: HullParams) -> FeasibilityReport:
     """
     s = params.shape
     residuals = {}
-    lo, hi = LOA_BOUNDS
+    lo, hi = LOA_RANGE
     residuals["loa"] = max(lo - params.loa, params.loa - hi)
     for i, name in enumerate(SHAPE_NAMES):
         blo, bhi = BOX_BOUNDS[name]
@@ -426,7 +425,7 @@ HULL_FIELDS = ("loa",) + SHAPE_NAMES
 
 
 def hull_to_row(params: HullParams) -> list:
-    return [params.loa] + [float(v) for v in params.shape]
+    return [float(params.loa)] + [float(v) for v in params.shape]
 
 
 def hull_from_row(values) -> HullParams:
@@ -436,12 +435,18 @@ def hull_from_row(values) -> HullParams:
     return HullParams(vals[0], np.array(vals[1:]))
 
 
-def write_hull_csv(path, hulls) -> None:
+def write_csv(path, header, rows) -> None:
+    """A header line, then one line per row; float cells are written with
+    ``repr``, so they read back bit for bit."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(HULL_FIELDS)
-        for h in hulls:
-            writer.writerow([repr(float(v)) for v in hull_to_row(h)])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def write_hull_csv(path, hulls) -> None:
+    write_csv(path, HULL_FIELDS, (hull_to_row(h) for h in hulls))
 
 
 def read_hull_csv(path) -> list:

@@ -22,20 +22,12 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import FROUDE_RANGE, GRID_DRAFTS, GRID_FROUDE, WaterConstants
+from .config import (FROUDE_RANGE, GRID_DRAFTS, GRID_FROUDE, PLANE_NX, PLANE_NZ,
+                     THETA_NODES, WaterConstants)
 from .errors import DomainError, QuadratureAccuracyWarning, SingularityError
 from .geometry import HullParams, SlopeField, centerplane_slopes, waterline_bounds
 
 MICHELL_PREFACTOR = 4.0     # classical thin-ship constant
-
-# Doubling every resolution (theta nodes, nx, nz) moves the grid values of
-# random dataset hulls by under 1% at Fn >= 0.25, but by up to 2% at Fn 0.20
-# and 3.3% at Fn 0.10-0.15 (largest change over 32 hulls).  The x direction
-# dominates the error (slope kinks get smeared by sampling); the z integral
-# is exact per cell and converges by nz ~ 48.
-DEFAULT_THETA_NODES = 384
-DEFAULT_PLANE_NX = 512
-DEFAULT_PLANE_NZ = 48
 LOW_FN_NX_FACTOR = 3        # extra x resolution for grid nodes below Fn 0.125
 TAIL_TOLERANCE = 1e-6       # admissible relative tail of the theta integral
 REFINEMENT_WARN = 0.01      # self-check disagreement that triggers a warning
@@ -44,22 +36,20 @@ PHASE_BLOCK = 32            # x nodes per block of the phase sum
 
 @dataclass(frozen=True)
 class FlowCondition:
-    """Speed, scale and water properties for one resistance evaluation."""
+    """Speed and scale for one resistance evaluation, in seawater."""
 
     speed: float            # m/s
     loa: float              # m
     tstar: float            # draft ratio in (0, 1]
-    rho: float = 1025.0     # kg/m^3
-    g: float = 9.81         # m/s^2
-    nu: float = 1.19e-6     # m^2/s
+    rho: ClassVar[float] = WaterConstants.rho
+    g: ClassVar[float] = WaterConstants.g
+    nu: ClassVar[float] = WaterConstants.nu
 
     def __post_init__(self):
         if self.speed < 0:
             raise DomainError("speed must be non-negative")
         if not 0.0 < self.tstar <= 1.0:
             raise DomainError("draft ratio must be in (0, 1]")
-        if min(self.rho, self.g, self.nu) <= 0:
-            raise DomainError("rho, g, nu must be positive")
 
 
 @dataclass(frozen=True)
@@ -81,22 +71,22 @@ class ResistanceGrid:
         object.__setattr__(self, "rw", arr)
 
 
-def froude_speed(wl, loa, g):
+def froude_speed(wl, loa):
     """sqrt(g * WL * LOA), the speed at F_n = 1 (WL LOA-normalized); array-capable."""
-    return np.sqrt(g * wl * loa)
+    return np.sqrt(WaterConstants.g * wl * loa)
 
 
-def froude_number(speed: float, wl: float, loa: float, g: float = 9.81) -> float:
+def froude_number(speed: float, wl: float, loa: float) -> float:
     """F_n = U / sqrt(g * WL * LOA) with WL the LOA-normalized waterline."""
     if wl * loa <= 0:
         raise DomainError("waterline length must be positive")
-    return float(speed / froude_speed(wl, loa, g))
+    return float(speed / froude_speed(wl, loa))
 
 
-def speed_from_froude(fn: float, wl: float, loa: float, g: float = 9.81) -> float:
+def speed_from_froude(fn: float, wl: float, loa: float) -> float:
     if wl * loa <= 0:
         raise DomainError("waterline length must be positive")
-    return float(fn * froude_speed(wl, loa, g))
+    return float(fn * froude_speed(wl, loa))
 
 
 def _log10(x):
@@ -122,14 +112,13 @@ def friction_coefficient(reynolds: float) -> float:
     return float(ittc_line(reynolds))
 
 
-def skin_friction(speed, sa, wl, loa, water):
+def skin_friction(speed, sa, wl, loa):
     """R_f in Newtons from LOA-normalized wetted area and waterline; array-capable.
 
-    Re uses the waterline length (not LOA) as its length scale; ``water``
-    is anything with ``rho`` and ``nu`` (WaterConstants, FlowCondition).
+    Re uses the waterline length (not LOA) as its length scale.
     """
-    reynolds = speed * wl * loa / water.nu
-    return 0.5 * ittc_line(reynolds) * water.rho * speed**2 * sa * loa**2
+    reynolds = speed * wl * loa / WaterConstants.nu
+    return 0.5 * ittc_line(reynolds) * WaterConstants.rho * speed**2 * sa * loa**2
 
 
 def friction_resistance(cond: FlowCondition, sa: float, wl: float) -> float:
@@ -138,12 +127,12 @@ def friction_resistance(cond: FlowCondition, sa: float, wl: float) -> float:
         raise DomainError("wetted area and waterline must be non-negative")
     if sa == 0.0 or cond.speed == 0.0:
         return 0.0
-    return float(skin_friction(cond.speed, sa, wl, cond.loa, cond))
+    return float(skin_friction(cond.speed, sa, wl, cond.loa))
 
 
-def resistance_coefficient(total, speed, loa, rho):
+def resistance_coefficient(total, speed, loa):
     """C_T = log10(R_T / (0.5 rho U^2 LOA^2)); array-capable."""
-    return _log10(total / (0.5 * rho * speed**2 * loa**2))
+    return _log10(total / (0.5 * WaterConstants.rho * speed**2 * loa**2))
 
 
 def _linexp_weights(h):
@@ -239,7 +228,7 @@ def _simpson(y: np.ndarray, dx: float) -> float:
 
 
 def michell_wave_resistance(slopes: SlopeField, cond: FlowCondition, *,
-                            n_theta: int = DEFAULT_THETA_NODES) -> float:
+                            n_theta: int = THETA_NODES) -> float:
     """Wave-making resistance in Newtons for a centerplane slope field.
 
     The result is checked against the same integral on every other theta
@@ -291,17 +280,14 @@ def michell_wave_resistance(slopes: SlopeField, cond: FlowCondition, *,
     return rw
 
 
-def resistance_grid(params: HullParams, water: WaterConstants | None = None, *,
-                    n_theta: int = DEFAULT_THETA_NODES,
-                    nx: int = DEFAULT_PLANE_NX,
-                    nz: int = DEFAULT_PLANE_NZ) -> ResistanceGrid:
+def resistance_grid(params: HullParams, *, n_theta: int = THETA_NODES,
+                    nx: int = PLANE_NX, nz: int = PLANE_NZ) -> ResistanceGrid:
     """Evaluate the Michell integral on the 4x8 (draft, Froude) grid.
 
     The grid is computed at a reference LOA of 1 m; see ResistanceGrid for
     the similitude rescaling.  Speeds at each node come from the hull's own
     waterline length at that draft.
     """
-    water = water or WaterConstants()
     ref = HullParams(1.0, params.shape)
     rw = np.empty((len(GRID_DRAFTS), len(GRID_FROUDE)))
     for i, tstar in enumerate(GRID_DRAFTS):
@@ -317,9 +303,8 @@ def resistance_grid(params: HullParams, water: WaterConstants | None = None, *,
                     fine = centerplane_slopes(ref, tstar, LOW_FN_NX_FACTOR * nx,
                                               2 * nz)
                 field = fine
-            speed = speed_from_froude(fn, wl, 1.0, water.g)
-            cond = FlowCondition(speed=speed, loa=1.0, tstar=tstar,
-                                 rho=water.rho, g=water.g, nu=water.nu)
+            cond = FlowCondition(speed=speed_from_froude(fn, wl, 1.0), loa=1.0,
+                                 tstar=tstar)
             rw[i, j] = michell_wave_resistance(field, cond, n_theta=n_theta)
     return ResistanceGrid(rw=rw)
 
@@ -370,7 +355,7 @@ def total_resistance_coefficient(rw: float, rf: float, cond: FlowCondition) -> f
     total = rw + rf
     if total <= 0:
         raise DomainError("total resistance must be positive for the log scale")
-    return float(resistance_coefficient(total, cond.speed, cond.loa, cond.rho))
+    return float(resistance_coefficient(total, cond.speed, cond.loa))
 
 
 def predicted_total_resistance(c_t: float, cond: FlowCondition) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import HIDDEN
 from .errors import RepresentationError, TrainingError
 
 HEADS = ("linear", "sigmoid")
@@ -221,8 +222,7 @@ def _train(model: MlpModel, x, y, cfg: TrainConfig, loss_kind: str) -> TrainResu
     return TrainResult(model=model, final_loss=loss, loss_history=history)
 
 
-def train_regressor(x, y, cfg: TrainConfig, *,
-                    hidden=(256, 256, 256, 256)) -> TrainResult:
+def train_regressor(x, y, cfg: TrainConfig, *, hidden=HIDDEN) -> TrainResult:
     """Minibatch Adam on mean-squared error from a fresh Xavier net."""
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
@@ -231,8 +231,7 @@ def train_regressor(x, y, cfg: TrainConfig, *,
     return _train(model, x, y, cfg, "mse")
 
 
-def train_classifier(x, y, cfg: TrainConfig, *,
-                     hidden=(256, 256, 256, 256)) -> TrainResult:
+def train_classifier(x, y, cfg: TrainConfig, *, hidden=HIDDEN) -> TrainResult:
     """Binary cross-entropy training of a logistic-output network."""
     y = np.asarray(y, dtype=float)
     classes = np.unique(y)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TestCase, WaterConstants
+from .config import TestCase
 from .dataset import surrogate_rows
 from .errors import DomainError
 from .geometry import HullParams, measure_at, validate
@@ -242,8 +242,7 @@ def population_summary(pop, gen: int) -> dict:
 
 
 def evaluate_individual(x_norm, case: TestCase, resistance: MlpModel,
-                        waterline: MlpModel, normalizer,
-                        water: WaterConstants | None = None):
+                        waterline: MlpModel, normalizer):
     """Surrogate objectives (R_T, C_T) and total constraint violation.
 
     The draft is held at the case target, so t* = T / (depth_ratio * LOA)
@@ -251,7 +250,6 @@ def evaluate_individual(x_norm, case: TestCase, resistance: MlpModel,
     target, depth outside 1%, exact volume below 99% of target, any
     algebraic feasibility residual, and drafts past the deck.
     """
-    water = water or WaterConstants()
     x_norm = np.asarray(x_norm, dtype=float)
     shape = normalizer.denormalize(x_norm)
     params = HullParams(case.loa, shape)
@@ -272,19 +270,18 @@ def evaluate_individual(x_norm, case: TestCase, resistance: MlpModel,
         vol = measure_at(params, tstar, nz=VOLUME_NZ, nx=VOLUME_NX)[0] * case.loa**3
         violation += max(0.0, 0.99 - vol / case.volume)
 
-    rows = surrogate_rows(waterline, x_norm[None, :], tstar, case.speed, case.loa, water)
+    rows = surrogate_rows(waterline, x_norm[None, :], tstar, case.speed, case.loa)
     c_t = float(resistance.predict(rows)[0])
-    cond = FlowCondition(speed=case.speed, loa=case.loa, tstar=tstar,
-                         rho=water.rho, g=water.g, nu=water.nu)
+    cond = FlowCondition(speed=case.speed, loa=case.loa, tstar=tstar)
     return np.array([predicted_total_resistance(c_t, cond), c_t]), violation
 
 
 def make_hull_problem(case: TestCase, resistance: MlpModel, waterline: MlpModel,
-                      normalizer, water: WaterConstants | None = None) -> Problem:
+                      normalizer) -> Problem:
     n_var = normalizer.dim
 
     def evaluate(x):
-        return evaluate_individual(x, case, resistance, waterline, normalizer, water)
+        return evaluate_individual(x, case, resistance, waterline, normalizer)
 
     return Problem(n_var=n_var, lower=-np.ones(n_var), upper=np.ones(n_var),
                    evaluate=evaluate)

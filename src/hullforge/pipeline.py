@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import PipelineConfig, TestCase, config_hash
+from .config import PipelineConfig, TestCase, WaterConstants, config_hash
 from .dataset import (build_dataset, classifier_rows, fit_normalizer,
                       geometry_rows, load_normalizer, read_dataset_csv,
                       resistance_rows, save_normalizer, stack_records,
@@ -33,7 +33,7 @@ from .errors import ConfigurationError, DependencyError
 from .evaluate import (TOLERANCE_BANDS, audit_samples, audit_stats, compare,
                        fit_pca2, kde)
 from .geometry import (HULL_FIELDS, HullParams, hull_from_row, hull_to_row,
-                       read_hull_csv, write_hull_csv)
+                       read_hull_csv, write_csv, write_hull_csv)
 from .neural import (TrainConfig, accuracy, load_weights, r_squared,
                      save_weights, train_classifier, train_regressor)
 from .optimize import make_hull_problem, nsga2
@@ -146,14 +146,6 @@ def _seed_int(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -163,7 +155,7 @@ def cmd_gen_dataset(cfg: PipelineConfig, out_dir) -> Path:
     target = out_dir / "dataset"
     with _lock(out_dir), _atomic_dir(target) as tmp:
         records = build_dataset(
-            cfg.n_hulls, cfg.seed, water=cfg.water, n_theta=cfg.theta_nodes,
+            cfg.n_hulls, cfg.seed, n_theta=cfg.theta_nodes,
             nx=cfg.plane_nx, nz=cfg.plane_nz,
             workers=cfg.workers if cfg.workers > 0 else None)
         normalizer = fit_normalizer(records, min_samples=min(64, cfg.n_hulls))
@@ -174,7 +166,7 @@ def cmd_gen_dataset(cfg: PipelineConfig, out_dir) -> Path:
             "n_feasible": cfg.n_hulls,
             "n_infeasible": cfg.n_hulls,
             "scheme": "separable-13",
-            "rho": cfg.water.rho, "g": cfg.water.g, "nu": cfg.water.nu,
+            "rho": WaterConstants.rho, "g": WaterConstants.g, "nu": WaterConstants.nu,
             "theta_nodes": cfg.theta_nodes,
             "plane_nx": cfg.plane_nx, "plane_nz": cfg.plane_nz,
         })
@@ -240,10 +232,10 @@ def cmd_train(cfg: PipelineConfig, out_dir, which: str = "all") -> Path:
         if which in ("regressors", "all"):
             rng = np.random.default_rng(_seed_int(cfg.seed, 21))
             n_rows = cfg.rows_per_hull * data.n
-            x, y = resistance_rows(data, rng, n_rows, cfg.water)
+            x, y = resistance_rows(data, rng, n_rows)
             res = train_regressor(x, y, tc(cfg.resistance_steps, 1), hidden=hidden)
             xv, yv = resistance_rows(held, np.random.default_rng(_seed_int(cfg.seed, 22)),
-                                     min(8192, 32 * held.n), cfg.water)
+                                     min(8192, 32 * held.n))
             metrics["resistance_r2"] = r_squared(res.model, xv, yv)
             metrics["resistance_loss"] = res.final_loss
             save_weights(res.model, tmp / MODEL_FILES["resistance"])
@@ -339,8 +331,7 @@ def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
     cond = ConditioningVector.from_case(case)
     sched = _schedule(cfg)
     vectors = sample_guided(models, cond, case.speed, case.loa, n, gamma=gamma,
-                            lambda0=lam0, lambda1=lam1, sched=sched, seed=seed,
-                            water=cfg.water)
+                            lambda0=lam0, lambda1=lam1, sched=sched, seed=seed)
     shapes = normalizer.denormalize(vectors)
 
     target = out_dir / "samples" / case_name / mode
@@ -378,27 +369,27 @@ def cmd_optimize(cfg: PipelineConfig, out_dir, case_name: str,
     initial = normalizer.normalize(np.array([feas[i] for i in pick]))
 
     problem = make_hull_problem(case, models.resistance, models.waterline,
-                                normalizer, cfg.water)
+                                normalizer)
     history = []
     pop = nsga2(problem, cfg.population, cfg.generations, _seed_int(seed, 1),
                 initial=initial, history=history)
 
     target = out_dir / "optimize" / case_name
     with _lock(out_dir), _atomic_dir(target) as tmp:
-        _write_csv(tmp / "history.csv",
-                   ("gen", "n_feasible", "best_rt", "mean_rt", "best_ct",
-                    "mean_ct", "mean_violation"),
-                   [(h["gen"], h["n_feasible"], h["best_rt"], h["mean_rt"],
-                     h["best_ct"], h["mean_ct"], h["mean_violation"])
-                    for h in history])
+        write_csv(tmp / "history.csv",
+                  ("gen", "n_feasible", "best_rt", "mean_rt", "best_ct",
+                   "mean_ct", "mean_violation"),
+                  [(h["gen"], h["n_feasible"], h["best_rt"], h["mean_rt"],
+                    h["best_ct"], h["mean_ct"], h["mean_violation"])
+                   for h in history])
         rows = []
         for ind in pop:
             shape = normalizer.denormalize(ind.x)
             rows.append(hull_to_row(HullParams(case.loa, shape))
                         + [float(ind.objectives[0]), float(ind.objectives[1]),
                            float(ind.violation)])
-        _write_csv(tmp / "population.csv",
-                   HULL_FIELDS + ("pred_rt", "pred_ct", "violation"), rows)
+        write_csv(tmp / "population.csv",
+                  HULL_FIELDS + ("pred_rt", "pred_ct", "violation"), rows)
         write_meta(tmp / "optimize.meta", {
             "case": case_name, "seed": seed, "population": cfg.population,
             "generations": cfg.generations,
@@ -442,7 +433,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
                for mode in SAMPLE_MODES}
     vectors["nsga2"] = _read_population_vectors(out_dir, case_name, normalizer)
     arms = {arm: audit_samples(vec, case, models.resistance, models.waterline,
-                               normalizer, cfg.water, n_theta=cfg.theta_nodes,
+                               normalizer, n_theta=cfg.theta_nodes,
                                plane_nx=cfg.plane_nx, plane_nz=cfg.plane_nz)
             for arm, vec in vectors.items()}
     nsga_audits = arms["nsga2"]
@@ -462,7 +453,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
 
         summary_rows = []
         for mode, audits in arms.items():
-            _write_csv(tmp / f"audit_{mode}.csv", audit_header, audit_rows(audits))
+            write_csv(tmp / f"audit_{mode}.csv", audit_header, audit_rows(audits))
             stats = audit_stats(audits)
             summary_rows.append((mode, stats["n"], stats["feasibility_rate"],
                                  stats["vol_err_mean"], stats["vol_err_std"],
@@ -472,12 +463,12 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
             feas = [a for a in audits if a.feasible]
             if len(feas) >= 2:
                 grid, density = kde([a.simulated_rt for a in feas])
-                _write_csv(tmp / f"kde_{mode}.csv", ("rt", "density"),
-                           zip(grid.tolist(), density.tolist()))
-        _write_csv(tmp / "summary.csv",
-                   ("arm", "n", "feasibility_rate", "vol_err_mean", "vol_err_std",
-                    "beam_err_mean", "beam_err_std", "depth_err_mean",
-                    "depth_err_std", "volume_in_band_5pct"), summary_rows)
+                write_csv(tmp / f"kde_{mode}.csv", ("rt", "density"),
+                          zip(grid.tolist(), density.tolist()))
+        write_csv(tmp / "summary.csv",
+                  ("arm", "n", "feasibility_rate", "vol_err_mean", "vol_err_std",
+                   "beam_err_mean", "beam_err_std", "depth_err_mean",
+                   "depth_err_std", "volume_in_band_5pct"), summary_rows)
 
         comparison_rows = []
         for mode in SAMPLE_MODES:
@@ -487,10 +478,10 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
                  *[report.counts[t] for t in TOLERANCE_BANDS],
                  report.sample_min_rt if report.sample_min_rt is not None else "",
                  report.delta_rt if report.delta_rt is not None else ""))
-        _write_csv(tmp / "comparison.csv",
-                   ("arm", "nsga_min_rt", "n_low_rt_1pct", "n_low_rt_5pct",
-                    "n_low_rt_10pct", "sample_min_rt_5pct", "delta_rt"),
-                   comparison_rows)
+        write_csv(tmp / "comparison.csv",
+                  ("arm", "nsga_min_rt", "n_low_rt_1pct", "n_low_rt_5pct",
+                   "n_low_rt_10pct", "sample_min_rt_5pct", "delta_rt"),
+                  comparison_rows)
 
         # diversity view: PCA frame fitted on the training hulls only
         train_norm = normalizer.normalize(
@@ -500,7 +491,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
         for group, mat in (("dataset", train_norm), *vectors.items()):
             for p in pca.project(mat):
                 pca_rows.append((group, float(p[0]), float(p[1])))
-        _write_csv(tmp / "pca.csv", ("group", "pc1", "pc2"), pca_rows)
+        write_csv(tmp / "pca.csv", ("group", "pc1", "pc2"), pca_rows)
 
         # surrogate-exploitation observables
         ratios = {}

@@ -15,7 +15,6 @@ cache ahead of time with ``python scripts/build_artifacts.py``.
 
 import csv
 import math
-import shutil
 import time
 import warnings
 from pathlib import Path
@@ -24,20 +23,19 @@ import numpy as np
 import pytest
 
 from hullforge.config import PipelineConfig, cache_key, smoke_config
-from hullforge.dataset import (classifier_rows, read_dataset_csv,
+from hullforge.dataset import (read_dataset_csv,
                                load_normalizer, resistance_rows,
                                sample_infeasible_vector, stack_records)
 from hullforge.diffusion import (ConditioningVector, GuidanceModels,
                                  forward_noise, linear_schedule,
                                  sample_conditional, sample_guided)
-from hullforge.geometry import (HullParams, SlopeField, centerplane_slopes,
+from hullforge.geometry import (SlopeField, centerplane_slopes,
                                 measure_curves)
 from hullforge.hydro import (FlowCondition, friction_coefficient,
                              michell_wave_resistance, speed_from_froude)
 from hullforge.neural import TrainConfig, accuracy, r_squared
-from hullforge.pipeline import (SAMPLE_MODES, _load_models, _seed_int,
+from hullforge.pipeline import (SAMPLE_MODES, _load_models,
                                 _split_records, cmd_run_all, pipeline_stages)
-from conftest import make_hull
 
 CACHE_ROOT = Path(__file__).resolve().parent.parent / ".acceptance-cache"
 
@@ -164,8 +162,7 @@ def test_criterion_05_surrogate_quality(desk):
     _train, held, _infeas = _split_records(records, cfg.holdout_fraction,
                                            cfg.seed)
     held_stack = stack_records(held, normalizer)
-    xv, yv = resistance_rows(held_stack, np.random.default_rng(123), 8192,
-                             cfg.water)
+    xv, yv = resistance_rows(held_stack, np.random.default_rng(123), 8192)
     r2 = r_squared(models.resistance, xv, yv)
 
     rng = np.random.default_rng(321)

@@ -1,12 +1,14 @@
+import configparser
 import fcntl
 import os
+import re
 import shutil
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from hullforge.cli import main
@@ -125,9 +127,41 @@ def test_smoke_config_is_small():
 def test_bundled_config_files_match_the_code_defaults():
     configs = Path(__file__).resolve().parent.parent / "configs"
     assert config_hash(load_config(configs / "smoke.cfg")) \
-        == config_hash(smoke_config()) == "57e46ddae32254a8"
+        == config_hash(smoke_config()) == "65ca58a9db3536f9"
     assert config_hash(load_config(configs / "desk.cfg")) \
-        == config_hash(PipelineConfig()) == "807cff772da0d682"
+        == config_hash(PipelineConfig()) == "1047a40932f14dc1"
+
+
+def test_every_knob_round_trips_through_its_one_section(tmp_path):
+    changed = {f.name: f.default + 2 if isinstance(f.default, int) else 2 * f.default
+               for f in fields(PipelineConfig) if f.name != "cases"}
+    cfg = PipelineConfig(**changed)
+    text = dump_config(cfg)
+    path = tmp_path / "all.cfg"
+    path.write_text(text)
+    assert load_config(path) == cfg
+
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    homes = [key for section in parser.sections() if not section.startswith("case:")
+             for key in parser[section]]
+    assert sorted(homes) == sorted(changed)   # each knob in exactly one section
+
+    path.write_text("[water]\nrho = 1000.0\n")
+    with pytest.raises(ConfigurationError, match=r"\[water\]"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key, value", [("embed_dim", 7), ("population", 3),
+                                        ("plane_nx", 4)])
+def test_cli_rejects_a_bad_value_before_any_work(tmp_path, capsys, key, value):
+    path = micro_config(tmp_path)
+    path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", path.read_text(),
+                           flags=re.M))
+    out = tmp_path / "out"
+    assert main(["gen-dataset", "--config", str(path), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- CLI behaviour -------------------------------------------------------------

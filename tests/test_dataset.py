@@ -7,11 +7,11 @@ import pytest
 
 from hullforge import dataset
 from hullforge.config import WaterConstants
-from hullforge.dataset import (DATASET_FIELDS, Normalizer, build_dataset,
+from hullforge.dataset import (DATASET_FIELDS, build_dataset,
                                classifier_rows, fit_normalizer, geometry_rows,
                                load_normalizer, read_dataset_csv, read_meta,
                                resistance_rows, sample_infeasible_vector,
-                               sample_random_hull, save_normalizer, stack_records,
+                               sample_random_hull, save_normalizer,
                                write_dataset_csv, write_meta)
 from hullforge.errors import DomainError
 from hullforge.geometry import validate

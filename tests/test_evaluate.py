@@ -5,7 +5,7 @@ import pytest
 
 from hullforge.config import TestCase
 from hullforge.errors import DegeneracyError, DomainError
-from hullforge.evaluate import (ComparisonReport, SampleAudit, audit_one,
+from hullforge.evaluate import (SampleAudit, audit_one,
                                 audit_samples, audit_stats, compare, fit_pca2,
                                 kde, volume_error_fraction)
 from hullforge.geometry import measure_at

@@ -1,16 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hullforge.errors import (DomainError, FeasibilityError,
                               RepresentationError)
-from hullforge.geometry import (BOX_BOUNDS, DRAFT_MARKS, SHAPE_NAMES,
-                                HullParams, SlopeField, centerplane_slopes,
+from hullforge.geometry import (DRAFT_MARKS, SHAPE_NAMES,
+                                HullParams, centerplane_slopes,
                                 half_breadth, hull_from_row, hull_to_row,
                                 interpolate_curves, measure_at, measure_curves,
-                                read_hull_csv, validate, waterline_bounds,
+                                read_hull_csv, validate,
                                 write_hull_csv)
 from conftest import make_hull
 

@@ -15,12 +15,11 @@ from hullforge.hydro import (GRID_COLUMNS, FlowCondition, ResistanceGrid,
                              predicted_total_resistance, resistance_grid,
                              speed_from_froude,
                              total_resistance_coefficient)
-from conftest import make_hull
 
 
 def test_froude_supercarrier_point():
     # speed and length of the largest bundled test case
-    fn = froude_number(16.0, 1.0, 333.0, g=9.81)
+    fn = froude_number(16.0, 1.0, 333.0)
     assert fn == pytest.approx(16.0 / math.sqrt(9.81 * 333.0), rel=1e-12)
     assert fn == pytest.approx(0.2799, abs=5e-5)
 
