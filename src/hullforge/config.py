@@ -52,11 +52,14 @@ PLANE_NX = 512
 PLANE_NZ = 48
 
 # Network and diffusion shapes: every network has HIDDEN_LAYERS tanh layers
-# of HIDDEN_UNITS units; the denoiser embeds timestep and conditioning in
-# EMBED_DIM dimensions, under a linear beta schedule stated for 1000 steps.
+# of HIDDEN_UNITS units and trains by minibatch Adam on BATCH_SIZE rows at
+# LEARNING_RATE; the denoiser embeds timestep and conditioning in EMBED_DIM
+# dimensions, under a linear beta schedule stated for 1000 steps.
 HIDDEN_LAYERS = 4
 HIDDEN_UNITS = 256
 HIDDEN = (HIDDEN_UNITS,) * HIDDEN_LAYERS
+BATCH_SIZE = 256
+LEARNING_RATE = 1e-3
 EMBED_DIM = 32
 TIMESTEPS = 1000
 BETA_START = 1e-4
@@ -112,7 +115,7 @@ class PipelineConfig:
     seed: int = _knob("dataset", 20240811)
     rows_per_hull: int = _knob("dataset", 128)  # resistance-training rows drawn per hull
     holdout_fraction: float = _knob("dataset", 0.125)
-    workers: int = _knob("dataset", 0)          # 0 -> use all CPUs
+    workers: int = _knob("dataset", 0)          # gen-dataset processes, train threads; 0 -> one per CPU
 
     theta_nodes: int = _knob("michell", THETA_NODES)
     plane_nx: int = _knob("michell", PLANE_NX)
@@ -120,8 +123,8 @@ class PipelineConfig:
 
     hidden_layers: int = _knob("network", HIDDEN_LAYERS)
     hidden_units: int = _knob("network", HIDDEN_UNITS)
-    batch_size: int = _knob("network", 256)
-    learning_rate: float = _knob("network", 1e-3)
+    batch_size: int = _knob("network", BATCH_SIZE)
+    learning_rate: float = _knob("network", LEARNING_RATE)
     resistance_steps: int = _knob("network", 20000)
     volume_steps: int = _knob("network", 8000)
     waterline_steps: int = _knob("network", 8000)
@@ -152,6 +155,8 @@ class PipelineConfig:
                                       self.waterline_steps, self.classifier_steps,
                                       self.diffusion_steps) < 1:
             raise ConfigurationError("network batch size and step counts must be >= 1")
+        if self.workers < 0:
+            raise ConfigurationError("dataset.workers must be >= 0")
         if not 0.0 < self.holdout_fraction < 0.5:
             raise ConfigurationError("dataset.holdout_fraction must be in (0, 0.5)")
         if min(self.plane_nx, self.plane_nz) < 8:

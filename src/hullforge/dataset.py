@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import ctypes
 import math
+import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,27 +112,61 @@ def sample_infeasible_vector(rng: np.random.Generator) -> HullParams:
     return params
 
 
-def _one_blas_thread() -> None:
-    """Pool-worker initializer: set the loaded OpenBLAS to one thread.
+def _set_blas_threads(n: int) -> int | None:
+    """Set the loaded OpenBLAS to ``n`` threads; its previous count.
 
-    With its default of one thread per core, every worker of a pool as
-    wide as the machine would oversubscribe the cores.  The library is
-    found in /proc/self/maps; without one (or off Linux) nothing changes.
+    The library is found in /proc/self/maps; without one (or off Linux)
+    nothing changes and the result is None.
     """
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:
-        return
+        return None
     for path in libs:
         lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [ctypes.c_int], None
-                fn(1)
-                return
+        for stem in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+            get = getattr(lib, stem.format("get_num_threads"), None)
+            put = getattr(lib, stem.format("set_num_threads"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                before = get()
+                put(n)
+                return before
+    return None
+
+
+def pool_map(fn, jobs: list, workers: int = 0, *, threads: bool = False,
+             chunksize: int = 1) -> list:
+    """``[fn(job) for job in jobs]``, in order, on ``workers`` workers
+    (``0``: one per CPU; never more than there are jobs).
+
+    With one worker the jobs run in this process, one after another, at the
+    BLAS library's own thread count.  Otherwise they run in a pool of
+    processes or, with ``threads``, of threads of this process; either way
+    every worker runs one BLAS thread, so a pool as wide as the machine
+    does not oversubscribe its cores.  Threads suit jobs that spend their
+    time in numpy, which releases the GIL: they share this process's
+    memory and names, so their inputs are not copied.  The first job in
+    list order that raises cancels the jobs not yet started; its error
+    propagates once the running ones have ended, so no worker outlives the
+    call.
+    """
+    size = min(workers or os.cpu_count() or 1, len(jobs))
+    if size <= 1:
+        return [fn(job) for job in jobs]
+    if not threads:
+        with ProcessPoolExecutor(size, initializer=_set_blas_threads,
+                                 initargs=(1,)) as pool:
+            return list(pool.map(fn, jobs, chunksize=chunksize))
+    before = _set_blas_threads(1)   # the count is per process, not per thread
+    try:
+        with ThreadPoolExecutor(size) as pool:
+            return list(pool.map(fn, jobs))
+    finally:
+        if before is not None:
+            _set_blas_threads(before)
 
 
 def _build_one(args):
@@ -147,22 +182,17 @@ def _build_one(args):
 
 def build_dataset(n: int, seed: int, *, n_theta: int = THETA_NODES,
                   nx: int = PLANE_NX, nz: int = PLANE_NZ,
-                  workers: int | None = None) -> list[HullRecord]:
+                  workers: int = 0) -> list[HullRecord]:
     """n feasible records (curves + grids) followed by n infeasible vectors.
 
-    ``workers`` > 1 (or None, one per core) builds the feasible records in
-    a process pool whose workers run one BLAS thread each.
+    The feasible records are built through :func:`pool_map` with
+    ``workers`` processes (``0``: one per CPU, ``1``: in this process).
     """
     if n < 1:
         raise DomainError("dataset size must be >= 1")
     seeds = np.random.SeedSequence(seed).spawn(n + 1)
-    jobs = [(s, n_theta, nx, nz) for s in seeds[:n]]
-    if workers is None or workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_one_blas_thread) as pool:
-            records = list(pool.map(_build_one, jobs, chunksize=8))
-    else:
-        records = [_build_one(j) for j in jobs]
+    records = pool_map(_build_one, [(s, n_theta, nx, nz) for s in seeds[:n]],
+                       workers, chunksize=8)
 
     bad_rng = np.random.default_rng(seeds[n])
     records.extend(

@@ -190,11 +190,11 @@ def train_denoiser(draw_batch, x_dim: int, cond_dim: int, sched: NoiseSchedule,
         xt = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
         inp, cond_arr = model._stack(xt, t, cond)
-        acts, pre = model.mlp._forward_cached(inp)
+        acts = model.mlp._forward_cached(inp)
         loss, delta = _loss_and_delta(acts[-1], eps, "mse")
         if not np.isfinite(loss):
             raise TrainingError(f"diffusion training diverged at step {step}")
-        dws, dbs, dinp = model.mlp._backward(acts, pre, delta)
+        dws, dbs, dinp = model.mlp._backward(acts, delta)
         demb = dinp[:, model.x_dim:]
         dcond_w = demb.T @ cond_arr
         dcond_b = demb.sum(axis=0)

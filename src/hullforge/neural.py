@@ -3,8 +3,9 @@
 Everything runs in float64 numpy.  Hidden layers use tanh (smooth, with a
 strictly positive derivative everywhere, so guidance gradients never die);
 the output head is linear for regression or logistic for classification.
-Training is minibatch Adam, bit-reproducible for a fixed seed and thread
-count.
+Training is minibatch Adam, bit-reproducible for a fixed seed and BLAS
+thread count; while the pipeline trains its networks in parallel
+(``dataset.pool_map`` threads) the process runs one BLAS thread.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import HIDDEN
+from .config import BATCH_SIZE, HIDDEN, LEARNING_RATE
 from .errors import RepresentationError, TrainingError
 
 HEADS = ("linear", "sigmoid")
@@ -76,16 +77,14 @@ class MlpModel:
         return out[:, 0] if self.out_dim == 1 else out
 
     def _forward_cached(self, x):
+        """Every layer's output, the input first: what backprop needs."""
         acts = [x]
-        pre = []
-        h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            pre.append(z)
-            h = np.tanh(z) if i < last else z
-            acts.append(h)
-        return acts, pre
+            z = acts[-1] @ w
+            z += b
+            acts.append(np.tanh(z, out=z) if i < last else z)
+        return acts
 
     def value_and_input_gradient(self, x):
         """predict(x) and the exact reverse-mode d(output)/d(input), rowwise,
@@ -97,11 +96,11 @@ class MlpModel:
         if self.out_dim != 1:
             raise RepresentationError("input_gradient needs a scalar output")
         x = self._check(x)
-        acts, pre = self._forward_cached(x)
+        acts = self._forward_cached(x)
         out = acts[-1]
         delta = np.ones((x.shape[0], 1))
         if self.head == "sigmoid":
-            out = _sigmoid(pre[-1])
+            out = _sigmoid(out)
             delta = delta * out * (1.0 - out)
         for i in range(len(self.weights) - 1, -1, -1):
             delta = delta @ self.weights[i].T
@@ -113,17 +112,17 @@ class MlpModel:
         """The gradient half of value_and_input_gradient."""
         return self.value_and_input_gradient(x)[1]
 
-    def _backward(self, acts, pre, dout):
+    def _backward(self, acts, dout):
         dws = [None] * len(self.weights)
         dbs = [None] * len(self.weights)
         delta = dout
         for i in range(len(self.weights) - 1, -1, -1):
             dws[i] = acts[i].T @ delta
             dbs[i] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
-            else:
-                delta = delta @ self.weights[i].T
+            delta = delta @ self.weights[i].T
+            if i > 0:                       # through tanh: 1 - a^2, in place
+                slope = acts[i] ** 2
+                delta *= np.subtract(1.0, slope, out=slope)
         return dws, dbs, delta
 
 
@@ -141,9 +140,9 @@ def init_mlp(in_dim: int, hidden: tuple, out_dim: int, head: str,
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 256
+    batch_size: int = BATCH_SIZE
     steps: int = 20000
-    learning_rate: float = 1e-3
+    learning_rate: float = LEARNING_RATE
     seed: int = 0
 
     def __post_init__(self):
@@ -211,11 +210,11 @@ def _train(model: MlpModel, x, y, cfg: TrainConfig, loss_kind: str) -> TrainResu
     for step in range(cfg.steps):
         idx = rng.integers(0, x.shape[0], min(cfg.batch_size, x.shape[0]))
         xb, yb = x[idx], y[idx]
-        acts, pre = model._forward_cached(xb)
+        acts = model._forward_cached(xb)
         loss, delta = _loss_and_delta(acts[-1], yb, loss_kind)
         if not np.isfinite(loss):
             raise TrainingError(f"training loss diverged at step {step}")
-        dws, dbs, _ = model._backward(acts, pre, delta)
+        dws, dbs, _ = model._backward(acts, delta)
         opt.step([*dws, *dbs])
         if step % 200 == 0 or step == cfg.steps - 1:
             history.append((step, loss))

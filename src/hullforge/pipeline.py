@@ -15,6 +15,7 @@ import math
 import os
 import shutil
 from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -23,9 +24,9 @@ import numpy as np
 from . import __version__
 from .config import PipelineConfig, TestCase, WaterConstants, config_hash
 from .dataset import (build_dataset, classifier_rows, fit_normalizer,
-                      geometry_rows, load_normalizer, read_dataset_csv,
-                      resistance_rows, save_normalizer, stack_records,
-                      write_dataset_csv, write_meta)
+                      geometry_rows, load_normalizer, pool_map,
+                      read_dataset_csv, resistance_rows, save_normalizer,
+                      stack_records, write_dataset_csv, write_meta)
 from .diffusion import (ConditioningVector, GuidanceModels, NoiseSchedule,
                         linear_schedule, load_denoiser, sample_guided,
                         save_denoiser, train_diffusion)
@@ -157,7 +158,7 @@ def cmd_gen_dataset(cfg: PipelineConfig, out_dir) -> Path:
         records = build_dataset(
             cfg.n_hulls, cfg.seed, n_theta=cfg.theta_nodes,
             nx=cfg.plane_nx, nz=cfg.plane_nz,
-            workers=cfg.workers if cfg.workers > 0 else None)
+            workers=cfg.workers)
         normalizer = fit_normalizer(records, min_samples=min(64, cfg.n_hulls))
         write_dataset_csv(records, tmp / "hulls.csv")
         save_normalizer(normalizer, tmp / "normalizer.txt")
@@ -202,16 +203,101 @@ def _split_records(records, holdout_fraction, seed):
     return train, held, infeas
 
 
-def cmd_train(cfg: PipelineConfig, out_dir, which: str = "all") -> Path:
-    """Train the requested model group: regressors | classifier | diffusion | all."""
-    if which not in ("regressors", "classifier", "diffusion", "all"):
-        raise ConfigurationError(f"unknown training group {which!r}")
-    out_dir = Path(out_dir)
-    records, normalizer = _load_dataset(out_dir)
+@dataclass(frozen=True)
+class _TrainJob:
+    """One network of ``cmd_train`` and its training inputs."""
+
+    name: str            # a MODEL_FILES key
+    tc: TrainConfig
+    inputs: tuple        # regressors: x, y, held-out x, y; classifier: x, y;
+                         # denoiser: stacked data, noise schedule
+
+
+def _train_jobs(cfg: PipelineConfig, which: str, records, normalizer) -> list[_TrainJob]:
+    """Every network of the ``which`` group with its inputs, longest first.
+
+    The rows are drawn in one fixed order (resistance, then geometry from
+    the same generator, then classifier), whatever order the jobs run in.
+    """
     train_rec, held_rec, infeas = _split_records(records, cfg.holdout_fraction,
                                                  cfg.seed)
     data = stack_records(train_rec, normalizer)
-    held = stack_records(held_rec, normalizer)
+    jobs = []
+
+    def add(name, tag, steps, *inputs):
+        tc = TrainConfig(batch_size=cfg.batch_size, steps=steps,
+                         learning_rate=cfg.learning_rate,
+                         seed=_seed_int(cfg.seed, tag))
+        jobs.append(_TrainJob(name, tc, inputs))
+
+    if which in ("regressors", "all"):
+        held = stack_records(held_rec, normalizer)
+        rng = np.random.default_rng(_seed_int(cfg.seed, 21))
+        n_rows = cfg.rows_per_hull * data.n
+        n_held = min(8192, 32 * held.n)
+        x, y = resistance_rows(data, rng, n_rows)
+        xv, yv = resistance_rows(held, np.random.default_rng(_seed_int(cfg.seed, 22)),
+                                 n_held)
+        add("resistance", 1, cfg.resistance_steps, x, y, xv, yv)
+        xg, logv, wl = geometry_rows(data, rng, n_rows // 2)
+        xgv, logvv, wlv = geometry_rows(held, np.random.default_rng(_seed_int(cfg.seed, 23)),
+                                        n_held)
+        add("volume", 2, cfg.volume_steps, xg, logv, xgv, logvv)
+        add("waterline", 3, cfg.waterline_steps, xg, wl, xgv, wlv)
+
+    if which in ("classifier", "all"):
+        add("classifier", 4, cfg.classifier_steps,
+            *classifier_rows(train_rec + infeas, normalizer))
+
+    if which in ("diffusion", "all"):
+        add("denoiser", 5, cfg.diffusion_steps, data, _schedule(cfg))
+
+    # longest first, so the workers finish close together
+    return sorted(jobs, key=lambda job: -job.tc.steps)
+
+
+def _train_one(job: _TrainJob, cfg: PipelineConfig, out: Path):
+    """Train one network and write its archive into ``out``; its
+    TrainResult (None for the denoiser, which reports no metrics)."""
+    hidden = (cfg.hidden_units,) * cfg.hidden_layers
+    path = out / MODEL_FILES[job.name]
+    if job.name == "denoiser":
+        data, sched = job.inputs
+        save_denoiser(train_diffusion(data, sched, job.tc, hidden=hidden,
+                                      embed_dim=cfg.embed_dim), path)
+        return None
+    train = train_classifier if job.name == "classifier" else train_regressor
+    res = train(*job.inputs[:2], job.tc, hidden=hidden)
+    save_weights(res.model, path)
+    return res
+
+
+def _job_metrics(job: _TrainJob, res) -> dict:
+    """A trained network's ``metrics.meta`` entries."""
+    if job.name == "denoiser":
+        return {}
+    if job.name == "classifier":
+        x, y = job.inputs
+        return {"classifier_loss": res.final_loss,
+                "classifier_train_accuracy": accuracy(res.model, x, y)}
+    _, _, xv, yv = job.inputs
+    entries = {f"{job.name}_r2": r_squared(res.model, xv, yv)}
+    if job.name == "resistance":   # the one regressor whose final loss is kept
+        entries["resistance_loss"] = res.final_loss
+    return entries
+
+
+def cmd_train(cfg: PipelineConfig, out_dir, which: str = "all") -> Path:
+    """Train the requested model group: regressors | classifier | diffusion | all.
+
+    Every job's inputs (training rows, noise schedule) are built first, so a
+    bad setting fails before any training; the networks then train in
+    parallel, in ``pool_map`` threads of this process (``cfg.workers``).
+    """
+    if which not in ("regressors", "classifier", "diffusion", "all"):
+        raise ConfigurationError(f"unknown training group {which!r}")
+    out_dir = Path(out_dir)
+    jobs = _train_jobs(cfg, which, *_load_dataset(out_dir))
     target = out_dir / "models"
     prior = {}
     if target.exists():   # keep already-trained groups when retraining one
@@ -222,46 +308,13 @@ def cmd_train(cfg: PipelineConfig, out_dir, which: str = "all") -> Path:
 
     metrics = {}
     with _lock(out_dir), _atomic_dir(target) as tmp:
-        hidden = (cfg.hidden_units,) * cfg.hidden_layers
-
-        def tc(steps, tag):
-            return TrainConfig(batch_size=cfg.batch_size, steps=steps,
-                               learning_rate=cfg.learning_rate,
-                               seed=_seed_int(cfg.seed, tag))
-
-        if which in ("regressors", "all"):
-            rng = np.random.default_rng(_seed_int(cfg.seed, 21))
-            n_rows = cfg.rows_per_hull * data.n
-            x, y = resistance_rows(data, rng, n_rows)
-            res = train_regressor(x, y, tc(cfg.resistance_steps, 1), hidden=hidden)
-            xv, yv = resistance_rows(held, np.random.default_rng(_seed_int(cfg.seed, 22)),
-                                     min(8192, 32 * held.n))
-            metrics["resistance_r2"] = r_squared(res.model, xv, yv)
-            metrics["resistance_loss"] = res.final_loss
-            save_weights(res.model, tmp / MODEL_FILES["resistance"])
-
-            xg, logv, wl = geometry_rows(data, rng, n_rows // 2)
-            vres = train_regressor(xg, logv, tc(cfg.volume_steps, 2), hidden=hidden)
-            wres = train_regressor(xg, wl, tc(cfg.waterline_steps, 3), hidden=hidden)
-            xgv, logvv, wlv = geometry_rows(held, np.random.default_rng(_seed_int(cfg.seed, 23)),
-                                            min(8192, 32 * held.n))
-            metrics["volume_r2"] = r_squared(vres.model, xgv, logvv)
-            metrics["waterline_r2"] = r_squared(wres.model, xgv, wlv)
-            save_weights(vres.model, tmp / MODEL_FILES["volume"])
-            save_weights(wres.model, tmp / MODEL_FILES["waterline"])
-
-        if which in ("classifier", "all"):
-            xc, yc = classifier_rows(train_rec + infeas, normalizer)
-            cres = train_classifier(xc, yc, tc(cfg.classifier_steps, 4), hidden=hidden)
-            metrics["classifier_loss"] = cres.final_loss
-            metrics["classifier_train_accuracy"] = accuracy(cres.model, xc, yc)
-            save_weights(cres.model, tmp / MODEL_FILES["classifier"])
-
-        if which in ("diffusion", "all"):
-            sched = _schedule(cfg)
-            den = train_diffusion(data, sched, tc(cfg.diffusion_steps, 5),
-                                  hidden=hidden, embed_dim=cfg.embed_dim)
-            save_denoiser(den, tmp / MODEL_FILES["denoiser"])
+        results = pool_map(partial(_train_one, cfg=cfg, out=tmp), jobs,
+                           cfg.workers, threads=True)
+        # here, not in the worker threads: these forward passes over every
+        # held-out or training row make the stage's largest arrays, and glibc
+        # keeps what a thread frees in that thread's own arena
+        for job, res in zip(jobs, results):
+            metrics.update(_job_metrics(job, res))
 
         for name, text in prior.items():   # carry over untouched groups
             path = tmp / MODEL_FILES[name]

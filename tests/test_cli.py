@@ -5,16 +5,18 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from hullforge import neural, pipeline
 from hullforge.cli import main
 from hullforge.config import (PipelineConfig, config_hash, default_cases,
                               dump_config, load_config, smoke_config)
-from hullforge.errors import ConfigurationError
+from hullforge.errors import ConfigurationError, TrainingError
 
 
 def run_cli(*args):
@@ -109,6 +111,12 @@ speed = 2.5
     cfg = load_config(path)
     assert "skiff" in cfg.cases and "kayak" in cfg.cases
     assert cfg.cases["skiff"].tstar == pytest.approx(0.375)
+
+
+def test_workers_must_not_be_negative():
+    assert PipelineConfig(workers=0).workers == 0   # one per CPU
+    with pytest.raises(ConfigurationError, match="dataset.workers"):
+        PipelineConfig(workers=-1)
 
 
 def test_case_validation():
@@ -301,6 +309,67 @@ def test_cli_train_reruns_byte_identical(tmp_path, monkeypatch, capsys):
     assert "metrics.meta" in models_a
     assert models_a == models_b
     assert "train finished in" in capsys.readouterr().err
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_cli_train_bad_schedule_fails_before_training(tmp_path, monkeypatch, capsys):
+    path = micro_config(tmp_path)
+    path.write_text(path.read_text().replace("timesteps = 40", "timesteps = 5"))
+    out = tmp_path / "out"
+    assert main(["gen-dataset", "--config", str(path), "--out", str(out)]) == 0
+
+    def never(*_args, **_kwargs):
+        pytest.fail("a network trained before the schedule was checked")
+
+    monkeypatch.setattr(pipeline, "train_regressor", never)
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 3
+    assert "betas" in capsys.readouterr().err
+    assert not (out / "models").exists()
+
+
+def test_cli_train_worker_count_does_not_change_models(tmp_path):
+    path = micro_config(tmp_path)
+    out = {1: tmp_path / "serial", 2: tmp_path / "pool"}
+    assert main(["gen-dataset", "--config", str(path), "--out", str(out[1])]) == 0
+    shutil.copytree(out[1], out[2])
+    trees = {}
+    for workers, root in out.items():
+        cfg = tmp_path / f"workers{workers}.cfg"
+        cfg.write_text(path.read_text().replace(
+            "rows_per_hull = 16", f"rows_per_hull = 16\nworkers = {workers}"))
+        assert main(["train", "--config", str(cfg), "--out", str(root)]) == 0
+        tree = _tree(root / "models")
+        # the config hash covers the workers key; every checksum must agree
+        tree["manifest.txt"] = re.sub(rb"config_hash = \w+\n", b"", tree["manifest.txt"])
+        trees[workers] = tree
+    assert sorted(trees[1]) == ["classifier.txt", "denoiser.txt", "manifest.txt",
+                                "metrics.meta", "resistance.txt", "volume.txt",
+                                "waterline.txt"]
+    assert trees[1] == trees[2]
+
+
+def test_cli_train_failure_in_a_worker_is_exit_3(tmp_path, monkeypatch, capsys):
+    path = micro_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["gen-dataset", "--config", str(path), "--out", str(out)]) == 0
+
+    def diverge(*_args, **_kwargs):
+        raise TrainingError("diverged in a pool worker")
+
+    # the networks train in threads of this process, which see the patch
+    monkeypatch.setattr(neural, "_train", diverge)
+    threads = threading.enumerate()
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 3
+    assert "diverged in a pool worker" in capsys.readouterr().err
+    assert threading.enumerate() == threads      # every worker was joined
+    assert not (out / "models").exists() and not (out / "models.tmp").exists()
+    assert not (out / ".lock").exists()
+    monkeypatch.undo()
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
 
 
 def test_cli_sample_parses_only_the_models_its_mode_uses(tmp_path):

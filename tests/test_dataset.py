@@ -1,19 +1,22 @@
 import ctypes
 import math
+import multiprocessing
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from hullforge import dataset
 from hullforge.config import WaterConstants
 from hullforge.dataset import (DATASET_FIELDS, build_dataset,
                                classifier_rows, fit_normalizer, geometry_rows,
-                               load_normalizer, read_dataset_csv, read_meta,
+                               load_normalizer, pool_map, read_dataset_csv, read_meta,
                                resistance_rows, sample_infeasible_vector,
                                sample_random_hull, save_normalizer,
                                write_dataset_csv, write_meta)
-from hullforge.errors import DomainError
+from hullforge.errors import DomainError, GenerationError
 from hullforge.geometry import validate
 from hullforge.hydro import interpolate_rw
 
@@ -85,15 +88,55 @@ def _openblas_threads(*_):
     return None
 
 
-def test_build_dataset_pool_workers_run_one_blas_thread(monkeypatch):
+def test_pool_map_workers_run_one_blas_thread():
+    """build_dataset and cmd_train both run their pools through pool_map."""
     parent = _openblas_threads()
     if parent is None:
         pytest.skip("no OpenBLAS loaded")
-    # each pool job reports its worker's thread count instead of a hull
-    monkeypatch.setattr(dataset, "_build_one", _openblas_threads)
-    records = build_dataset(4, seed=5, workers=2)
-    assert records[:4] == [1, 1, 1, 1]
+    # each pool job reports its worker's thread count
+    assert pool_map(_openblas_threads, [0, 1, 2, 3], workers=2) == [1, 1, 1, 1]
     assert _openblas_threads() == parent
+
+
+def test_pool_map_threads_run_one_blas_thread_then_restore_the_count():
+    parent = _openblas_threads()
+    if parent is None:
+        pytest.skip("no OpenBLAS loaded")
+    jobs = [0, 1, 2, 3]
+    assert pool_map(_openblas_threads, jobs, workers=2, threads=True) == [1, 1, 1, 1]
+    assert _openblas_threads() == parent
+    assert pool_map(_openblas_threads, jobs, workers=1, threads=True) == [parent] * 4
+
+
+def _fail_first(job):
+    index, marks = job
+    if index == 0:
+        raise GenerationError("job 0 failed")
+    time.sleep(0.1)
+    (marks / str(index)).touch()
+
+
+@pytest.mark.parametrize("threads", [False, True], ids=["processes", "threads"])
+def test_pool_map_failure_cancels_pending_jobs(tmp_path, threads):
+    jobs = [(i, tmp_path) for i in range(50)]
+    before = threading.enumerate()
+    with pytest.raises(GenerationError, match="job 0"):
+        pool_map(_fail_first, jobs, workers=2, threads=threads)
+    assert multiprocessing.active_children() == []   # every worker was joined
+    assert threading.enumerate() == before
+    assert len(list(tmp_path.iterdir())) < 10        # the rest never started
+
+
+def test_pool_map_in_process_for_one_worker_or_one_job(monkeypatch):
+    def pid(_):
+        return os.getpid(), threading.get_ident()
+
+    here = [pid(None)]
+    assert pool_map(pid, [None], workers=2) == here
+    assert pool_map(pid, [1, 2, 3], workers=1) == here * 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)   # workers = 0 on one CPU
+    assert pool_map(pid, [1, 2, 3], workers=0) == here * 3
+    assert pool_map(pid, [1, 2, 3], workers=0, threads=True) == here * 3
 
 
 def test_build_dataset_rejects_bad_count():
