@@ -67,6 +67,7 @@ def _load(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
         cfg.seed = args.seed
+        cfg.__post_init__()
     return cfg
 
 

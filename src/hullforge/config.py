@@ -151,6 +151,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.n_hulls < 1:
             raise ConfigurationError("dataset.n_hulls must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("dataset.seed must be >= 0")
         if self.batch_size < 1 or min(self.resistance_steps, self.volume_steps,
                                       self.waterline_steps, self.classifier_steps,
                                       self.diffusion_steps) < 1:
@@ -163,6 +165,8 @@ class PipelineConfig:
             raise ConfigurationError("michell.plane_nx and plane_nz must be >= 8")
         if self.embed_dim < 2 or self.embed_dim % 2:
             raise ConfigurationError("schedule.embed_dim must be even and >= 2")
+        if self.n_samples < 1:
+            raise ConfigurationError("sampling.n_samples must be >= 1")
         if self.population < 4:
             raise ConfigurationError("optimize.population must be >= 4")
         for name in ("gamma", "lambda0", "lambda1"):

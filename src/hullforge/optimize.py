@@ -1,7 +1,14 @@
 """NSGA-II with constrained domination, plus the hull design problem.
 
 The genetic machinery is generic over a bi-objective problem (bounds,
-evaluate).  The hull problem minimizes surrogate total resistance and its
+evaluate).  Each nondominated sort builds Deb's constrained-domination
+relation as one n x n boolean matrix (feasible beats infeasible, the
+lower violation wins between infeasible points, Pareto domination
+between feasible ones) and peels the fronts from its column counts.
+Parents come from a binary tournament on the crowded comparison: lower
+rank, then larger crowding distance.
+
+The hull problem minimizes surrogate total resistance and its
 coefficient at a test case's speed, constrained to the case's beam, depth
 and volume targets plus the scheme's algebraic feasibility residuals.
 Objectives use the learned surrogates; the volume constraint uses the
@@ -46,49 +53,33 @@ class Problem:
     evaluate: callable            # x -> (objectives (2,), violation >= 0)
 
 
-def constrained_dominates(a: Individual, b: Individual) -> bool:
-    """Feasible beats infeasible; among infeasible, lower violation wins;
-    among feasible, Pareto domination."""
-    if a.violation == 0.0 and b.violation > 0.0:
-        return True
-    if a.violation > 0.0 and b.violation == 0.0:
-        return False
-    if a.violation > 0.0 and b.violation > 0.0:
-        return a.violation < b.violation
-    ao, bo = a.objectives, b.objectives
-    return bool(np.all(ao <= bo) and np.any(ao < bo))
-
-
 def fast_nondominated_sort(pop: list) -> list:
-    """Assign ranks in place and return the fronts (lists of indices)."""
-    n = len(pop)
-    dominated = [[] for _ in range(n)]
-    counts = [0] * n
-    fronts = [[]]
-    for p in range(n):
-        for q in range(p + 1, n):
-            if constrained_dominates(pop[p], pop[q]):
-                dominated[p].append(q)
-                counts[q] += 1
-            elif constrained_dominates(pop[q], pop[p]):
-                dominated[q].append(p)
-                counts[p] += 1
-    for p in range(n):
-        if counts[p] == 0:
-            pop[p].rank = 0
-            fronts[0].append(p)
-    i = 0
-    while fronts[i]:
-        nxt = []
-        for p in fronts[i]:
-            for q in dominated[p]:
-                counts[q] -= 1
-                if counts[q] == 0:
-                    pop[q].rank = i + 1
-                    nxt.append(q)
-        i += 1
-        fronts.append(nxt)
-    fronts.pop()
+    """Assign ranks in place and return the fronts (lists of indices).
+
+    ``dom[a, b]``: a constrained-dominates b.  Violations decide when both
+    are known (>= 0) and one is positive; otherwise (both feasible, or a
+    NaN) Pareto domination does.  Each next front lists its members in the
+    order a pairwise count-down reaches them: by the position of their
+    last dominator in the current front, then by index.
+    """
+    v = np.array([p.violation for p in pop], dtype=float)
+    objs = np.array([p.objectives for p in pop], dtype=float)
+    infeasible, known = v > 0.0, v >= 0.0
+    by_violation = known[:, None] & known & (infeasible[:, None] | infeasible)
+    pareto = (objs[:, None] <= objs).all(-1) & (objs[:, None] < objs).any(-1)
+    dom = np.where(by_violation, v[:, None] < v, pareto)
+    counts = dom.sum(0)
+    fronts = []
+    front = np.flatnonzero(counts == 0)
+    while front.size:
+        fronts.append(front.tolist())
+        for p in fronts[-1]:
+            pop[p].rank = len(fronts) - 1
+        hits = dom[front]
+        counts -= hits.sum(0)
+        nxt = np.flatnonzero((counts == 0) & hits.any(0))
+        last = len(front) - 1 - hits[::-1, nxt].argmax(0)
+        front = nxt[np.argsort(last, kind="stable")]
     return fronts
 
 
@@ -96,28 +87,23 @@ def crowding_distance(pop: list, front: list) -> None:
     """Per-front crowding distances, written in place."""
     if not front:
         return
-    for i in front:
-        pop[i].crowding = 0.0
     objs = np.array([pop[i].objectives for i in front])
+    dist = np.zeros(len(front))
     for m in range(objs.shape[1]):
         order = np.argsort(objs[:, m], kind="stable")
-        lo, hi = objs[order[0], m], objs[order[-1], m]
-        pop[front[order[0]]].crowding = math.inf
-        pop[front[order[-1]]].crowding = math.inf
-        if hi == lo:
-            continue
-        for k in range(1, len(order) - 1):
-            gap = objs[order[k + 1], m] - objs[order[k - 1], m]
-            pop[front[order[k]]].crowding += gap / (hi - lo)
+        col = objs[order, m]
+        if col[-1] != col[0]:
+            dist[order[1:-1]] += (col[2:] - col[:-2]) / (col[-1] - col[0])
+        dist[order[[0, -1]]] = math.inf
+    for i, d in zip(front, dist):
+        pop[i].crowding = float(d)
 
 
 def _tournament(pop, rng) -> Individual:
+    """Deb's crowded comparison: lower rank, then larger crowding.  A
+    constrained dominator always sits in an earlier front."""
     i, j = rng.integers(0, len(pop), 2)
     a, b = pop[i], pop[j]
-    if constrained_dominates(a, b):
-        return a
-    if constrained_dominates(b, a):
-        return b
     if a.rank != b.rank:
         return a if a.rank < b.rank else b
     return a if a.crowding >= b.crowding else b

@@ -368,6 +368,9 @@ def _case(cfg: PipelineConfig, name: str) -> TestCase:
 def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
                n: int | None = None, seed: int | None = None) -> Path:
     case = _case(cfg, case_name)
+    n = cfg.n_samples if n is None else n
+    if n < 1:
+        raise ConfigurationError(f"sample count must be >= 1, got {n}")
     gamma, lam0, lam1 = _mode_coefficients(cfg, mode)
     out_dir = Path(out_dir)
     normalizer = _load_normalizer(out_dir)
@@ -377,7 +380,6 @@ def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
             need.extend(nets)
     # every archive is hashed into provenance.meta, so all must exist
     models = _load_models(out_dir, need=need, present=MODEL_FILES)
-    n = cfg.n_samples if n is None else n
     seed = _seed_int(cfg.seed, 31, sorted(cfg.cases).index(case_name),
                      SAMPLE_MODES.index(mode)) if seed is None else seed
 

@@ -161,7 +161,8 @@ def test_every_knob_round_trips_through_its_one_section(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("embed_dim", 7), ("population", 3),
-                                        ("plane_nx", 4)])
+                                        ("plane_nx", 4), ("seed", "-1"),
+                                        ("n_samples", 0)])
 def test_cli_rejects_a_bad_value_before_any_work(tmp_path, capsys, key, value):
     path = micro_config(tmp_path)
     path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", path.read_text(),
@@ -170,6 +171,30 @@ def test_cli_rejects_a_bad_value_before_any_work(tmp_path, capsys, key, value):
     assert main(["gen-dataset", "--config", str(path), "--out", str(out)]) == 1
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_rejects_a_negative_seed_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["gen-dataset", "--config", str(micro_config(tmp_path)),
+                 "--out", str(out), "--seed", "-1"]) == 1
+    assert "dataset.seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_sample_rejects_a_count_below_one(tmp_path, capsys):
+    """-n 0 would write an empty batch that `evaluate` cannot audit, and
+    -n -1 would fail inside the sampler; both stop before anything is
+    written."""
+    cfg = micro_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["gen-dataset", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for n in ("0", "-1"):
+        assert main(["sample", "--case", "kayak", "--config", str(cfg),
+                     "--out", str(out), "-n", n]) == 1
+        assert "sample count" in capsys.readouterr().err
+    assert not (out / "samples").exists()
 
 
 # -- CLI behaviour -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,22 +20,54 @@ def _ind(f1, f2, violation=0.0):
                       violation=violation)
 
 
-def _brute_force_ranks(objs):
-    """Independent domination count oracle (feasible points only)."""
+def _oracle_dominates(p, q, objs, violations):
+    """Deb's rule for one pair: feasible beats infeasible, the lower of two
+    violations wins, and two feasible points compare by Pareto domination."""
+    vp, vq = violations[p], violations[q]
+    if vp > 0.0 or vq > 0.0:
+        return vp < vq
+    pairs = list(zip(objs[p], objs[q]))
+    return all(a <= b for a, b in pairs) and any(a < b for a, b in pairs)
+
+
+def _brute_force_ranks(objs, violations=None):
+    """Independent domination count oracle: a point's rank is the number
+    of peeling rounds before no remaining point dominates it."""
     n = len(objs)
+    violations = [0.0] * n if violations is None else violations
     remaining = set(range(n))
     ranks = [None] * n
     level = 0
     while remaining:
         front = [p for p in remaining
-                 if not any(np.all(np.array(objs[q]) <= np.array(objs[p]))
-                            and np.any(np.array(objs[q]) < np.array(objs[p]))
+                 if not any(_oracle_dominates(q, p, objs, violations)
                             for q in remaining if q != p)]
         for p in front:
             ranks[p] = level
             remaining.discard(p)
         level += 1
     return ranks
+
+
+def _count_down_fronts(objs, violations):
+    """Deb's pairwise count-down, the reference for the order inside each
+    front: a point joins the next front when its last dominator is visited."""
+    n = len(objs)
+    beats = [[q for q in range(n) if _oracle_dominates(p, q, objs, violations)]
+             for p in range(n)]
+    counts = [0] * n
+    for q in (q for qs in beats for q in qs):
+        counts[q] += 1
+    fronts = [[p for p in range(n) if counts[p] == 0]]
+    while fronts[-1]:
+        nxt = []
+        for p in fronts[-1]:
+            for q in beats[p]:
+                counts[q] -= 1
+                if counts[q] == 0:
+                    nxt.append(q)
+        fronts.append(nxt)
+    return fronts[:-1]
 
 
 def test_nondominated_sort_hand_built_set():
@@ -54,12 +87,47 @@ def test_sort_prefers_feasible():
     assert pop[1].rank == 2
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_constrained_ranks_match_the_pairwise_oracle(seed):
+    """Feasible and infeasible points, tied violations and duplicate
+    objective vectors: ranks, fronts and the order inside each front match
+    the pairwise references, and every dominator sits in a strictly earlier
+    front, which is what the crowded-comparison tournament relies on."""
+    rng = np.random.default_rng(seed)
+    n = 30 + 10 * seed
+    objs = rng.integers(0, 4, (n, 2)).astype(float).tolist()
+    violations = np.where(rng.random(n) < 0.5, 0.0,
+                          rng.integers(1, 4, n) / 4.0).tolist()
+    pop = [_ind(a, b, v) for (a, b), v in zip(objs, violations)]
+    fronts = fast_nondominated_sort(pop)
+    assert [p.rank for p in pop] == _brute_force_ranks(objs, violations)
+    assert fronts == _count_down_fronts(objs, violations)
+    assert all(pop[i].rank == k for k, f in enumerate(fronts) for i in f)
+    pairs = [(a, b) for a in range(n) for b in range(n)
+             if _oracle_dominates(a, b, objs, violations)]
+    assert pairs
+    assert all(pop[a].rank < pop[b].rank for a, b in pairs)
+
+
+def test_sort_compares_a_nan_violation_by_objectives():
+    pop = [_ind(1.0, 1.0, violation=math.nan), _ind(2.0, 2.0, violation=0.5)]
+    fast_nondominated_sort(pop)
+    assert [p.rank for p in pop] == [0, 1]
+
+
 def test_crowding_distance_endpoints_infinite():
     pop = [_ind(1.0, 4.0), _ind(2.0, 3.0), _ind(3.0, 2.0), _ind(4.0, 1.0)]
     front = [0, 1, 2, 3]
     crowding_distance(pop, front)
     assert math.isinf(pop[0].crowding) and math.isinf(pop[3].crowding)
     assert pop[1].crowding == pytest.approx(4.0 / 3.0)
+
+    # an equal-violation front need not be Pareto-ordered: each objective
+    # has its own endpoints, and interior gaps add up across objectives
+    pop = [_ind(0.0, 2.0), _ind(1.0, 4.0), _ind(2.0, 0.0), _ind(3.0, 3.0),
+           _ind(4.0, 1.0)]
+    crowding_distance(pop, [0, 1, 2, 3, 4])
+    assert [p.crowding for p in pop] == [math.inf] * 3 + [1.0, math.inf]
 
 
 def test_operators_respect_bounds():
@@ -117,6 +185,36 @@ def test_nsga_deterministic():
     b = nsga2(_schaffer_problem(), 20, 10, seed=3)
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.x, pb.x)
+
+
+def _narrow_feasible_problem():
+    """Schaffer with feasibility only near x = 1 and violations rounded to
+    0.1, so equal-violation infeasible points share fronts."""
+    def evaluate(x):
+        v = float(x[0])
+        return (np.array([v**2, (v - 2.0) ** 2]),
+                round(max(0.0, abs(v - 1.0) - 0.02), 1))
+
+    return Problem(n_var=1, lower=np.array([-4.0]), upper=np.array([4.0]),
+                   evaluate=evaluate)
+
+
+@pytest.mark.parametrize("make, generations, expected", [
+    (_schaffer_problem, 10,
+     "9dd2d2f1a71430574a9f18114e21ae598b2c5240d5bfd4c63acbac548fd29c75"),
+    (_narrow_feasible_problem, 8,
+     "cb32d3c06bfe98bf138d1e557ccc3ccbdb0a9ebbba70020bd99382dabf8f9ea4"),
+])
+def test_nsga_final_population_is_pinned(make, generations, expected):
+    """The order inside each front feeds the crowding sort and the
+    truncation tie-breaks, so any change to it moves these digests."""
+    pop = nsga2(make(), 20, generations, seed=5)
+    digest = hashlib.sha256()
+    for p in pop:
+        digest.update(p.x.tobytes())
+        digest.update(p.objectives.tobytes())
+        digest.update(np.float64(p.violation).tobytes())
+    assert digest.hexdigest() == expected
 
 
 def test_nsga_rejects_tiny_population():
