@@ -25,8 +25,9 @@ from .errors import DomainError, GenerationError, RepresentationError
 from .geometry import (BOX_BOUNDS, DRAFT_MARKS, HULL_FIELDS, SHAPE_NAMES,
                        GeoCurves, HullParams, hull_from_row, hull_to_row,
                        measure_curves, validate, write_csv)
-from .hydro import (GRID_COLUMNS, ResistanceGrid, froude_speed, grid_from_row,
-                    grid_lookup, grid_to_row, resistance_coefficient,
+from .hydro import (GRID_COLUMNS, FlowCondition, ResistanceGrid, froude_speed,
+                    grid_from_row, grid_lookup, grid_to_row,
+                    predicted_total_resistance, resistance_coefficient,
                     resistance_grid, skin_friction)
 
 BULB_PROBABILITY = 0.25
@@ -387,13 +388,23 @@ def surrogate_rows(waterline, x_norm, tstar: float, speed: float,
     """Resistance-network rows for normalized hulls at one draft, speed, LOA.
 
     The waterline network's WL, floored at WL_FLOOR, sets the Froude number
-    F_n = U / sqrt(g WL LOA).  The sampler's resistance guidance, the
-    optimizer's objectives and the audits' surrogate R_T all query these rows.
+    F_n = U / sqrt(g WL LOA).  The sampler's resistance guidance and
+    ``surrogate_total_resistance`` query these rows.
     """
     tcol = np.full(len(x_norm), tstar)
     wl_hat = np.maximum(waterline.predict(np.column_stack([x_norm, tcol])), WL_FLOOR)
     fn = speed / froude_speed(wl_hat, loa)
     return resistance_inputs(x_norm, tcol, fn, np.full(len(x_norm), math.log10(loa)))
+
+
+def surrogate_total_resistance(resistance, waterline, x_norm, tstar: float,
+                               speed: float, loa: float) -> float:
+    """Surrogate R_T (N) of one normalized hull, the resistance network's
+    C_T rescaled: the optimizer's objective and the audits' surrogate R_T."""
+    rows = surrogate_rows(waterline, np.asarray(x_norm, dtype=float)[None, :],
+                          tstar, speed, loa)
+    cond = FlowCondition(speed=speed, loa=loa, tstar=tstar)
+    return predicted_total_resistance(float(resistance.predict(rows)[0]), cond)
 
 
 def geometry_rows(data: StackedDataset, rng: np.random.Generator, n_rows: int):

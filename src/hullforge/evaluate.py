@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PLANE_NX, PLANE_NZ, THETA_NODES, TestCase
-from .dataset import surrogate_rows
+from .dataset import surrogate_total_resistance
 from .errors import (DegeneracyError, DomainError, FeasibilityError,
                      RepresentationError)
 from .geometry import HullParams, centerplane_slopes, measure_at, validate
-from .hydro import (FlowCondition, friction_resistance, michell_wave_resistance,
-                    predicted_total_resistance)
+from .hydro import FlowCondition, friction_resistance, michell_wave_resistance
 from .neural import MlpModel
 
 TOLERANCE_BANDS = (0.01, 0.05, 0.10)
@@ -87,9 +86,8 @@ def audit_one(shape_norm, case: TestCase, resistance: MlpModel,
     rf = friction_resistance(cond, sa, wl)
     simulated = rw + rf
 
-    rows = surrogate_rows(waterline, np.asarray(shape_norm, dtype=float)[None, :],
-                          tstar, case.speed, case.loa)
-    surrogate = predicted_total_resistance(float(resistance.predict(rows)[0]), cond)
+    surrogate = surrogate_total_resistance(resistance, waterline, shape_norm,
+                                           tstar, case.speed, case.loa)
     return SampleAudit(True, float(vol_err), float(beam_err), float(depth_err),
                        float(surrogate), float(simulated))
 

@@ -1,6 +1,6 @@
 """NSGA-II with constrained domination, plus the hull design problem.
 
-The genetic machinery is generic over a bi-objective problem (bounds,
+The genetic machinery is generic over the number of objectives (bounds,
 evaluate).  Each nondominated sort builds Deb's constrained-domination
 relation as one n x n boolean matrix (feasible beats infeasible, the
 lower violation wins between infeasible points, Pareto domination
@@ -8,10 +8,10 @@ between feasible ones) and peels the fronts from its column counts.
 Parents come from a binary tournament on the crowded comparison: lower
 rank, then larger crowding distance.
 
-The hull problem minimizes surrogate total resistance and its
-coefficient at a test case's speed, constrained to the case's beam, depth
-and volume targets plus the scheme's algebraic feasibility residuals.
-Objectives use the learned surrogates; the volume constraint uses the
+The hull problem minimizes one objective, the surrogate total resistance
+R_T at a test case's speed, constrained to the case's beam, depth and
+volume targets plus the scheme's algebraic feasibility residuals.  The
+objective uses the learned surrogates; the volume constraint uses the
 exact geometric measure so constraint satisfaction is not itself at the
 surrogate's mercy.
 """
@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TestCase
-from .dataset import surrogate_rows
+from .dataset import surrogate_total_resistance
 from .errors import DomainError
 from .geometry import HullParams, measure_at, validate
-from .hydro import FlowCondition, predicted_total_resistance
 from .neural import MlpModel
 
 SBX_ETA = 15.0
@@ -39,7 +38,7 @@ VOLUME_NZ, VOLUME_NX = 160, 192   # measure_at stations of the volume constraint
 @dataclass
 class Individual:
     x: np.ndarray                 # decision vector (normalized shape params)
-    objectives: np.ndarray        # (2,) minimized
+    objectives: np.ndarray        # (m,) minimized; (1,) for the hull problem
     violation: float              # total positive constraint excess; 0 = feasible
     rank: int = -1
     crowding: float = 0.0
@@ -47,10 +46,9 @@ class Individual:
 
 @dataclass(frozen=True)
 class Problem:
-    n_var: int
     lower: np.ndarray
     upper: np.ndarray
-    evaluate: callable            # x -> (objectives (2,), violation >= 0)
+    evaluate: callable            # x -> (objectives (m,), violation >= 0)
 
 
 def fast_nondominated_sort(pop: list) -> list:
@@ -152,6 +150,8 @@ def polynomial_mutation(x, lower, upper, rng, prob=None):
 
 def _evaluate(problem, x) -> Individual:
     objs, violation = problem.evaluate(x)
+    if not violation >= 0.0:   # a NaN can close a domination cycle
+        raise DomainError(f"constraint violation must be >= 0, got {violation!r}")
     return Individual(x=x, objectives=np.asarray(objs, dtype=float),
                       violation=float(violation))
 
@@ -210,17 +210,12 @@ def nsga2(problem: Problem, pop_size: int, generations: int, seed: int,
 
 
 def population_summary(pop, gen: int) -> dict:
-    feas = [p for p in pop if p.violation == 0.0]
-    out = {"gen": gen, "n_feasible": len(feas),
-           "mean_violation": float(np.mean([p.violation for p in pop]))}
-    if feas:
-        objs = np.array([p.objectives for p in feas])
-        out.update(best_rt=float(objs[:, 0].min()), mean_rt=float(objs[:, 0].mean()),
-                   best_ct=float(objs[:, 1].min()), mean_ct=float(objs[:, 1].mean()))
-    else:
-        out.update(best_rt=math.nan, mean_rt=math.nan, best_ct=math.nan,
-                   mean_ct=math.nan)
-    return out
+    """best_rt / mean_rt: the first objective over the feasible (else NaN)."""
+    rt = np.array([p.objectives[0] for p in pop if p.violation == 0.0])
+    return {"gen": gen, "n_feasible": rt.size,
+            "best_rt": float(rt.min()) if rt.size else math.nan,
+            "mean_rt": float(rt.mean()) if rt.size else math.nan,
+            "mean_violation": float(np.mean([p.violation for p in pop]))}
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +224,7 @@ def population_summary(pop, gen: int) -> dict:
 
 def evaluate_individual(x_norm, case: TestCase, resistance: MlpModel,
                         waterline: MlpModel, normalizer):
-    """Surrogate objectives (R_T, C_T) and total constraint violation.
+    """Surrogate objective (R_T,) and total constraint violation.
 
     The draft is held at the case target, so t* = T / (depth_ratio * LOA)
     varies with the candidate's depth.  Violations: beam outside 2% of
@@ -256,18 +251,15 @@ def evaluate_individual(x_norm, case: TestCase, resistance: MlpModel,
         vol = measure_at(params, tstar, nz=VOLUME_NZ, nx=VOLUME_NX)[0] * case.loa**3
         violation += max(0.0, 0.99 - vol / case.volume)
 
-    rows = surrogate_rows(waterline, x_norm[None, :], tstar, case.speed, case.loa)
-    c_t = float(resistance.predict(rows)[0])
-    cond = FlowCondition(speed=case.speed, loa=case.loa, tstar=tstar)
-    return np.array([predicted_total_resistance(c_t, cond), c_t]), violation
+    r_t = surrogate_total_resistance(resistance, waterline, x_norm, tstar,
+                                     case.speed, case.loa)
+    return np.array([r_t]), violation
 
 
 def make_hull_problem(case: TestCase, resistance: MlpModel, waterline: MlpModel,
                       normalizer) -> Problem:
-    n_var = normalizer.dim
-
     def evaluate(x):
         return evaluate_individual(x, case, resistance, waterline, normalizer)
 
-    return Problem(n_var=n_var, lower=-np.ones(n_var), upper=np.ones(n_var),
-                   evaluate=evaluate)
+    ones = np.ones(normalizer.dim)
+    return Problem(lower=-ones, upper=ones, evaluate=evaluate)

@@ -432,19 +432,16 @@ def cmd_optimize(cfg: PipelineConfig, out_dir, case_name: str,
     target = out_dir / "optimize" / case_name
     with _lock(out_dir), _atomic_dir(target) as tmp:
         write_csv(tmp / "history.csv",
-                  ("gen", "n_feasible", "best_rt", "mean_rt", "best_ct",
-                   "mean_ct", "mean_violation"),
+                  ("gen", "n_feasible", "best_rt", "mean_rt", "mean_violation"),
                   [(h["gen"], h["n_feasible"], h["best_rt"], h["mean_rt"],
-                    h["best_ct"], h["mean_ct"], h["mean_violation"])
-                   for h in history])
+                    h["mean_violation"]) for h in history])
         rows = []
         for ind in pop:
             shape = normalizer.denormalize(ind.x)
             rows.append(hull_to_row(HullParams(case.loa, shape))
-                        + [float(ind.objectives[0]), float(ind.objectives[1]),
-                           float(ind.violation)])
+                        + [float(ind.objectives[0]), float(ind.violation)])
         write_csv(tmp / "population.csv",
-                  HULL_FIELDS + ("pred_rt", "pred_ct", "violation"), rows)
+                  HULL_FIELDS + ("pred_rt", "violation"), rows)
         write_meta(tmp / "optimize.meta", {
             "case": case_name, "seed": seed, "population": cfg.population,
             "generations": cfg.generations,
@@ -462,7 +459,7 @@ def _read_sample_vectors(out_dir: Path, case_name: str, mode: str, normalizer):
 def _read_population_vectors(out_dir: Path, case_name: str, normalizer):
     path = _require(Path(out_dir) / "optimize" / case_name / "population.csv",
                     f"optimize --case {case_name}")
-    with open(path, newline="") as fh:   # hull columns, then the objectives
+    with open(path, newline="") as fh:   # hull columns, pred_rt, violation
         reader = csv.reader(fh)
         next(reader)
         shapes = np.array([hull_from_row(row[:len(HULL_FIELDS)]).shape

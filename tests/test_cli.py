@@ -1,4 +1,5 @@
 import configparser
+import csv
 import fcntl
 import os
 import re
@@ -17,6 +18,7 @@ from hullforge.cli import main
 from hullforge.config import (PipelineConfig, config_hash, default_cases,
                               dump_config, load_config, smoke_config)
 from hullforge.errors import ConfigurationError, TrainingError
+from hullforge.geometry import HULL_FIELDS
 
 
 def run_cli(*args):
@@ -229,6 +231,29 @@ def test_cli_missing_archive_names_its_training_group(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 2
     assert "train --which regressors" in capsys.readouterr().err
+
+
+def test_optimize_artifact_layout(tmp_path):
+    """history.csv has one row per generation; population.csv holds the
+    hull columns, the surrogate R_T and a non-negative violation."""
+    cfg = micro_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["gen-dataset", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["optimize", "--case", "kayak", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    conf = load_config(cfg)
+    with open(out / "optimize" / "kayak" / "history.csv", newline="") as fh:
+        history = list(csv.reader(fh))
+    assert history[0] == ["gen", "n_feasible", "best_rt", "mean_rt",
+                          "mean_violation"]
+    assert [row[0] for row in history[1:]] == [str(g)
+                                               for g in range(conf.generations)]
+    with open(out / "optimize" / "kayak" / "population.csv", newline="") as fh:
+        population = list(csv.reader(fh))
+    assert population[0] == list(HULL_FIELDS) + ["pred_rt", "violation"]
+    assert len(population) == 1 + conf.population
+    assert all(float(row[-1]) >= 0.0 for row in population[1:])
 
 
 def test_cli_unknown_case_is_usage_error(tmp_path, capsys):

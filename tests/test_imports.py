@@ -1,10 +1,10 @@
 """Every name a module imports is used in that module.
 
 The repository has no linter, so this check runs with the tests.  It
-covers the package, the tests and the scripts.  The package's
-``__init__.py`` is skipped: its imports are the package's public names.
-A name imported only to register a pytest fixture would need an
-exception here; no module does that.
+covers the package, the tests, the scripts and the benchmark.  The
+package's ``__init__.py`` is skipped: its imports are the package's
+public names.  A name imported only to register a pytest fixture would
+need an exception here; no module does that.
 """
 
 import ast
@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     [p for p in (ROOT / "src" / "hullforge").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")) + list((ROOT / "scripts").glob("*.py")))
+    + [p for d in ("tests", "scripts", "benchmark") for p in (ROOT / d).glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
