@@ -11,17 +11,16 @@ __version__ = "0.1.0"
 
 from .config import PipelineConfig, TestCase, WaterConstants, default_cases
 from .geometry import (GeoCurves, HullParams, FeasibilityReport, half_breadth,
-                       interpolate_curves, measure_at, measure_curves, validate)
-from .hydro import (FlowCondition, ResistanceGrid, friction_coefficient,
-                    friction_resistance, froude_number, interpolate_rw,
+                       measure_at, measure_curves, validate)
+from .hydro import (FlowCondition, ResistanceGrid, friction_resistance,
                     michell_wave_resistance, predicted_total_resistance,
-                    resistance_grid, total_resistance_coefficient)
+                    resistance_grid)
 from .dataset import (HullRecord, Normalizer, build_dataset, fit_normalizer,
                       sample_random_hull)
 from .neural import MlpModel, TrainConfig, train_classifier, train_regressor
 from .diffusion import (ConditioningVector, DenoiserModel, GuidanceModels,
                         NoiseSchedule, forward_noise, linear_schedule,
-                        sample_conditional, sample_guided, train_diffusion)
+                        sample_guided, train_diffusion)
 from .optimize import Individual, Problem, evaluate_individual, nsga2
 from .evaluate import (ComparisonReport, SampleAudit, audit_samples, compare,
                        kde, volume_error_fraction)

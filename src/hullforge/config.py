@@ -149,8 +149,8 @@ class PipelineConfig:
     cases: dict[str, TestCase] = field(default_factory=default_cases)
 
     def __post_init__(self):
-        if self.n_hulls < 1:
-            raise ConfigurationError("dataset.n_hulls must be >= 1")
+        if self.n_hulls < 2:   # the holdout takes one, training needs another
+            raise ConfigurationError("dataset.n_hulls must be >= 2")
         if self.seed < 0:
             raise ConfigurationError("dataset.seed must be >= 0")
         if self.batch_size < 1 or min(self.resistance_steps, self.volume_steps,

@@ -471,7 +471,7 @@ def read_dataset_csv(path) -> list[HullRecord]:
             area = np.array(vals[nc:2 * nc])
             wl = np.array(vals[2 * nc:3 * nc])
             grid = grid_from_row(vals[3 * nc:])
-            curves = GeoCurves(DRAFT_MARKS.copy(), vol, area, wl)
+            curves = GeoCurves(vol, area, wl)
             records.append(HullRecord(params, curves, grid, True))
     return records
 

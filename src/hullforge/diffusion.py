@@ -78,16 +78,22 @@ def linear_schedule(timesteps: int = TIMESTEPS, beta_start: float = BETA_START,
                                      timesteps))
 
 
-def forward_noise(x0, t: int, eps, sched: NoiseSchedule):
-    """x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
-    if not 1 <= t <= sched.timesteps:
-        raise DomainError(f"timestep {t} outside 1..{sched.timesteps}")
+def forward_noise(x0, t, eps, sched: NoiseSchedule):
+    """x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps.
+
+    ``t`` is one timestep, or an array of one timestep per row of ``x0``.
+    """
+    t = np.asarray(t)
+    if np.any((t < 1) | (t > sched.timesteps)):
+        raise DomainError(f"timestep outside 1..{sched.timesteps}: {t}")
     x0 = np.asarray(x0, dtype=float)
     eps = np.asarray(eps, dtype=float)
     if x0.shape != eps.shape:
         raise RepresentationError("noise draw must match the sample shape")
-    ab = sched.alpha_bar(t)
-    return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps
+    if t.ndim and t.shape != x0.shape[:-1]:
+        raise RepresentationError("timesteps must be one per row of the sample")
+    ab = sched._abar[t - 1][..., None] if t.ndim else sched._abar[t - 1]
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
 @dataclass(frozen=True)
@@ -181,13 +187,11 @@ def train_denoiser(draw_batch, x_dim: int, cond_dim: int, sched: NoiseSchedule,
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 404]))
     params = [*model.mlp.weights, *model.mlp.biases, model.cond_w, model.cond_b]
     opt = Adam(params, lr=cfg.learning_rate)
-    abar = sched._abar
     for step in range(cfg.steps):
         x0, cond = draw_batch(rng, cfg.batch_size)
         t = rng.integers(1, sched.timesteps + 1, x0.shape[0])
         eps = rng.standard_normal(x0.shape)
-        ab = abar[t - 1][:, None]
-        xt = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+        xt = forward_noise(x0, t, eps, sched)
 
         inp, cond_arr = model._stack(xt, t, cond)
         acts = model.mlp._forward_cached(inp)
@@ -283,13 +287,6 @@ def sample_guided(models: GuidanceModels, cond: ConditioningVector,
             step -= lambda1 * 2.0 * (v_hat - cond.log_v)[:, None] * grad_v[:, :den.x_dim]
         x = step
     return x
-
-
-def sample_conditional(models: GuidanceModels, cond: ConditioningVector,
-                       n: int, sched: NoiseSchedule, seed: int) -> np.ndarray:
-    """Unguided conditional sampling (all guidance coefficients zero)."""
-    return sample_guided(models, cond, speed=1.0, loa=1.0, n=n, gamma=0.0,
-                         lambda0=0.0, lambda1=0.0, sched=sched, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -116,13 +116,12 @@ class FeasibilityReport:
 
 @dataclass(frozen=True)
 class GeoCurves:
-    """Normalized volume / wetted area / waterline length at the draft marks.
+    """Normalized volume / wetted area / waterline length at the DRAFT_MARKS.
 
     vol is normalized by LOA^3, area by LOA^2, wl by LOA; all are therefore
     independent of the hull's actual length.
     """
 
-    draft_marks: np.ndarray
     vol: np.ndarray
     area: np.ndarray
     wl: np.ndarray
@@ -374,21 +373,7 @@ def measure_curves(params: HullParams) -> GeoCurves:
     caps = 2.0 * d * cumulative(0.5 * (cap_rows[1:] + cap_rows[:-1]) * dz)
     area = cumulative(shell_bands) + caps + bottom
     wl = 1.0 - (s.bow_rake + s.stern_rake) * (1.0 - DRAFT_MARKS)
-    return GeoCurves(DRAFT_MARKS.copy(), vol, area, wl)
-
-
-def interpolate_curves(curves: GeoCurves, tstar: float) -> tuple:
-    """Piecewise-linear (V, SA, WL) between draft marks; exact at marks.
-
-    Queries below the first mark clamp to it (volume there is effectively
-    zero anyway at desk scale); queries outside (0, 1] are rejected.
-    """
-    if not 0.0 < tstar <= 1.0:
-        raise DomainError(f"draft ratio must be in (0, 1], got {tstar}")
-    t = curves.draft_marks
-    return (float(np.interp(tstar, t, curves.vol)),
-            float(np.interp(tstar, t, curves.area)),
-            float(np.interp(tstar, t, curves.wl)))
+    return GeoCurves(vol, area, wl)
 
 
 def centerplane_slopes(params: HullParams, tstar: float, nx: int, nz: int) -> SlopeField:

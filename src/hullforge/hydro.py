@@ -22,8 +22,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import (FROUDE_RANGE, GRID_DRAFTS, GRID_FROUDE, PLANE_NX, PLANE_NZ,
-                     THETA_NODES, WaterConstants)
+from .config import (GRID_DRAFTS, GRID_FROUDE, PLANE_NX, PLANE_NZ, THETA_NODES,
+                     WaterConstants)
 from .errors import DomainError, QuadratureAccuracyWarning, SingularityError
 from .geometry import HullParams, SlopeField, centerplane_slopes, waterline_bounds
 
@@ -76,19 +76,6 @@ def froude_speed(wl, loa):
     return np.sqrt(WaterConstants.g * wl * loa)
 
 
-def froude_number(speed: float, wl: float, loa: float) -> float:
-    """F_n = U / sqrt(g * WL * LOA) with WL the LOA-normalized waterline."""
-    if wl * loa <= 0:
-        raise DomainError("waterline length must be positive")
-    return float(speed / froude_speed(wl, loa))
-
-
-def speed_from_froude(fn: float, wl: float, loa: float) -> float:
-    if wl * loa <= 0:
-        raise DomainError("waterline length must be positive")
-    return float(fn * froude_speed(wl, loa))
-
-
 def _log10(x):
     """math.log10 of a scalar, np.log10 of an array.
 
@@ -105,11 +92,6 @@ def ittc_line(reynolds):
         raise SingularityError(
             f"ITTC line is singular for Re <= 100, got {np.min(reynolds)}")
     return 0.075 / (_log10(reynolds) - 2.0) ** 2
-
-
-def friction_coefficient(reynolds: float) -> float:
-    """ITTC-1957 C_f for one Reynolds number (see ittc_line)."""
-    return float(ittc_line(reynolds))
 
 
 def skin_friction(speed, sa, wl, loa):
@@ -303,8 +285,8 @@ def resistance_grid(params: HullParams, *, n_theta: int = THETA_NODES,
                     fine = centerplane_slopes(ref, tstar, LOW_FN_NX_FACTOR * nx,
                                               2 * nz)
                 field = fine
-            cond = FlowCondition(speed=speed_from_froude(fn, wl, 1.0), loa=1.0,
-                                 tstar=tstar)
+            speed = float(fn * froude_speed(wl, 1.0))
+            cond = FlowCondition(speed=speed, loa=1.0, tstar=tstar)
             rw[i, j] = michell_wave_resistance(field, cond, n_theta=n_theta)
     return ResistanceGrid(rw=rw)
 
@@ -329,33 +311,6 @@ def grid_lookup(rws: np.ndarray, idx, tstar, fn):
     g11 = rws[idx, i, j]
     return (g00 * (1 - ft) * (1 - ff) + g01 * (1 - ft) * ff
             + g10 * ft * (1 - ff) + g11 * ft * ff)
-
-
-def interpolate_rw(grid: ResistanceGrid, tstar: float, fn: float) -> float:
-    """Bilinear interpolation on the stored grid (still at LOA = 1 m).
-
-    Froude numbers below the 0.10 grid floor are clamped to the edge with a
-    warning; everything else outside the grid is a domain error.
-    """
-    drafts, froude = grid.drafts, grid.froude
-    if fn < froude[0]:
-        if fn < FROUDE_RANGE[0] - 1e-12:
-            raise DomainError(f"Froude number {fn} below supported range")
-        warnings.warn("Froude number below simulation grid; clamped to 0.10",
-                      stacklevel=2)
-    if not drafts[0] <= tstar <= drafts[-1]:
-        raise DomainError(f"draft ratio {tstar} outside grid {drafts[0]}..{drafts[-1]}")
-    if fn > froude[-1] + 1e-12:
-        raise DomainError(f"Froude number {fn} outside grid")
-    return float(grid_lookup(grid.rw[None], 0, tstar, fn))
-
-
-def total_resistance_coefficient(rw: float, rf: float, cond: FlowCondition) -> float:
-    """C_T = log10((R_w + R_f) / (0.5 rho U^2 LOA^2))."""
-    total = rw + rf
-    if total <= 0:
-        raise DomainError("total resistance must be positive for the log scale")
-    return float(resistance_coefficient(total, cond.speed, cond.loa))
 
 
 def predicted_total_resistance(c_t: float, cond: FlowCondition) -> float:

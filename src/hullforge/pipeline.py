@@ -25,8 +25,9 @@ from . import __version__
 from .config import PipelineConfig, TestCase, WaterConstants, config_hash
 from .dataset import (build_dataset, classifier_rows, fit_normalizer,
                       geometry_rows, load_normalizer, pool_map,
-                      read_dataset_csv, resistance_rows, save_normalizer,
-                      stack_records, write_dataset_csv, write_meta)
+                      read_dataset_csv, read_meta, resistance_rows,
+                      save_normalizer, stack_records, write_dataset_csv,
+                      write_meta)
 from .diffusion import (ConditioningVector, GuidanceModels, NoiseSchedule,
                         linear_schedule, load_denoiser, sample_guided,
                         save_denoiser, train_diffusion)
@@ -299,12 +300,14 @@ def cmd_train(cfg: PipelineConfig, out_dir, which: str = "all") -> Path:
     out_dir = Path(out_dir)
     jobs = _train_jobs(cfg, which, *_load_dataset(out_dir))
     target = out_dir / "models"
-    prior = {}
+    prior, prior_metrics = {}, {}
     if target.exists():   # keep already-trained groups when retraining one
         for name, fname in MODEL_FILES.items():
             path = target / fname
             if path.exists():
                 prior[name] = path.read_text()
+        if (target / "metrics.meta").exists():
+            prior_metrics = read_meta(target / "metrics.meta")
 
     metrics = {}
     with _lock(out_dir), _atomic_dir(target) as tmp:
@@ -320,6 +323,8 @@ def cmd_train(cfg: PipelineConfig, out_dir, which: str = "all") -> Path:
             path = tmp / MODEL_FILES[name]
             if not path.exists():
                 path.write_text(text)
+                metrics.update({key: val for key, val in prior_metrics.items()
+                                if key.startswith(f"{name}_")})
 
         write_meta(tmp / "metrics.meta", metrics)
         _write_manifest(tmp, cfg, f"train:{which}", {"master": cfg.seed})

@@ -27,12 +27,11 @@ from hullforge.dataset import (read_dataset_csv,
                                load_normalizer, resistance_rows,
                                sample_infeasible_vector, stack_records)
 from hullforge.diffusion import (ConditioningVector, GuidanceModels,
-                                 forward_noise, linear_schedule,
-                                 sample_conditional, sample_guided)
-from hullforge.geometry import (SlopeField, centerplane_slopes,
+                                 forward_noise, linear_schedule, sample_guided)
+from hullforge.geometry import (DRAFT_MARKS, SlopeField, centerplane_slopes,
                                 measure_curves)
-from hullforge.hydro import (FlowCondition, friction_coefficient,
-                             michell_wave_resistance, speed_from_froude)
+from hullforge.hydro import (FlowCondition, froude_speed, ittc_line,
+                             michell_wave_resistance)
 from hullforge.neural import TrainConfig, accuracy, r_squared
 from hullforge.pipeline import (SAMPLE_MODES, _load_models,
                                 _split_records, cmd_run_all, pipeline_stages)
@@ -72,7 +71,7 @@ def test_criterion_01_box_geometry_oracle(box_hull):
     start = time.perf_counter()
     curves = measure_curves(box_hull)
     elapsed = time.perf_counter() - start
-    t = curves.draft_marks
+    t = DRAFT_MARKS
     b, d = 0.1, 0.05
     vol_ok = np.allclose(curves.vol, b * d * t, rtol=1e-6)
     area_ok = np.allclose(curves.area, b + 2 * d * t + 2 * b * d * t, rtol=1e-6)
@@ -86,7 +85,7 @@ def test_criterion_01_box_geometry_oracle(box_hull):
 def test_criterion_02_michell_properties(wedge_hull):
     start = time.perf_counter()
     field = centerplane_slopes(wedge_hull, 0.5, 512, 48)
-    cond = FlowCondition(speed=speed_from_froude(0.3, 1.0, 1.0), loa=1.0,
+    cond = FlowCondition(speed=0.3 * froude_speed(1.0, 1.0), loa=1.0,
                          tstar=0.5)
     zero = michell_wave_resistance(
         SlopeField(field.x, field.z, np.zeros_like(field.dydx)), cond)
@@ -97,7 +96,7 @@ def test_criterion_02_michell_properties(wedge_hull):
 
     refine_ok, worst = True, 0.0
     for fn in (0.15, 0.30, 0.45):
-        c = FlowCondition(speed=speed_from_froude(fn, 1.0, 1.0), loa=1.0,
+        c = FlowCondition(speed=fn * froude_speed(1.0, 1.0), loa=1.0,
                           tstar=0.5)
         production = michell_wave_resistance(
             centerplane_slopes(wedge_hull, 0.5, 512, 48), c, n_theta=384)
@@ -115,10 +114,10 @@ def test_criterion_02_michell_properties(wedge_hull):
 # -- criterion 3: ITTC spot values ---------------------------------------------
 
 def test_criterion_03_ittc_spot_values():
-    ok = (abs(friction_coefficient(1e9) - 1.5306e-3) <= 1e-7
-          and abs(friction_coefficient(1e7) - 3.0e-3) <= 1e-7)
-    _report(3, ok, f"C_f(1e9)={friction_coefficient(1e9):.6e}, "
-                   f"C_f(1e7)={friction_coefficient(1e7):.6e}")
+    ok = (abs(ittc_line(1e9) - 1.5306e-3) <= 1e-7
+          and abs(ittc_line(1e7) - 3.0e-3) <= 1e-7)
+    _report(3, ok, f"C_f(1e9)={ittc_line(1e9):.6e}, "
+                   f"C_f(1e7)={ittc_line(1e7):.6e}")
 
 
 # -- criterion 4: gradient fidelity on the trained architectures ---------------
@@ -215,7 +214,8 @@ def test_criterion_06_diffusion_sanity(desk):
     cond = ConditioningVector.from_case(cfg.cases["frigate"])
     a = sample_guided(models, cond, cfg.cases["frigate"].speed, 127.0, 4,
                       gamma=0.0, lambda0=0.0, lambda1=0.0, sched=sched, seed=9)
-    b = sample_conditional(models, cond, 4, sched, seed=9)
+    b = sample_guided(GuidanceModels(denoiser=models.denoiser), cond, 1.0, 1.0,
+                      4, gamma=0.0, lambda0=0.0, lambda1=0.0, sched=sched, seed=9)
     bitwise_ok = np.array_equal(a, b)
     _report(6, marginal_ok and in_mode >= 0.95 and bitwise_ok,
             f"terminal marginals ok={marginal_ok}, toy in-mode rate "

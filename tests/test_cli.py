@@ -17,6 +17,7 @@ from hullforge import neural, pipeline
 from hullforge.cli import main
 from hullforge.config import (PipelineConfig, config_hash, default_cases,
                               dump_config, load_config, smoke_config)
+from hullforge.dataset import read_meta
 from hullforge.errors import ConfigurationError, TrainingError
 from hullforge.geometry import HULL_FIELDS
 
@@ -164,7 +165,7 @@ def test_every_knob_round_trips_through_its_one_section(tmp_path):
 
 @pytest.mark.parametrize("key, value", [("embed_dim", 7), ("population", 3),
                                         ("plane_nx", 4), ("seed", "-1"),
-                                        ("n_samples", 0)])
+                                        ("n_samples", 0), ("n_hulls", 1)])
 def test_cli_rejects_a_bad_value_before_any_work(tmp_path, capsys, key, value):
     path = micro_config(tmp_path)
     path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", path.read_text(),
@@ -231,6 +232,21 @@ def test_cli_missing_archive_names_its_training_group(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 2
     assert "train --which regressors" in capsys.readouterr().err
+
+
+def test_cli_retraining_one_group_keeps_the_other_metrics(tmp_path):
+    """`train --which classifier` carries the other archives over, and
+    their metrics.meta entries with them."""
+    cfg = micro_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["gen-dataset", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    before = read_meta(out / "models" / "metrics.meta")
+    assert {"resistance_r2", "resistance_loss", "volume_r2",
+            "waterline_r2"} <= set(before)
+    assert main(["train", "--which", "classifier", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert read_meta(out / "models" / "metrics.meta") == before
 
 
 def test_optimize_artifact_layout(tmp_path):

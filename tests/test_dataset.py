@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from hullforge.dataset import (DATASET_FIELDS, build_dataset,
                                write_dataset_csv, write_meta)
 from hullforge.errors import DomainError, GenerationError
 from hullforge.geometry import validate
-from hullforge.hydro import interpolate_rw
+from hullforge.hydro import grid_lookup
 
 
 def test_sample_random_hull_deterministic():
@@ -250,11 +249,8 @@ def test_vector_rows_match_hand_chain(mini_stacked):
     marks = np.linspace(0.01, 1.0, 100)
     sa = np.interp(tstar, marks, mini_stacked.areas[idx])
     wl = np.interp(tstar, marks, mini_stacked.wls[idx])
-    from hullforge.hydro import ResistanceGrid
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rw = interpolate_rw(ResistanceGrid(rw=mini_stacked.rws[idx]),
-                            float(tstar), float(max(fn, 0.10))) * loa**3
+    rw = grid_lookup(mini_stacked.rws, idx, float(tstar),
+                     float(max(fn, 0.10))) * loa**3
     speed = fn * math.sqrt(water.g * wl * loa)
     re = speed * wl * loa / water.nu
     cf = 0.075 / (math.log10(re) - 2.0) ** 2

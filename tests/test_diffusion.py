@@ -3,8 +3,7 @@ import pytest
 
 from hullforge.diffusion import (ConditioningVector, GuidanceModels,
                                  NoiseSchedule, forward_noise, init_denoiser,
-                                 linear_schedule, load_denoiser,
-                                 sample_conditional, sample_guided,
+                                 linear_schedule, load_denoiser, sample_guided,
                                  save_denoiser, train_denoiser, train_diffusion)
 from hullforge.errors import (ConfigurationError, DomainError,
                              RepresentationError)
@@ -59,6 +58,21 @@ def test_forward_noise_domain_and_arity(sched):
         forward_noise(np.zeros(3), 0, np.zeros(3), sched)
     with pytest.raises(DomainError):
         forward_noise(np.zeros(3), 1001, np.zeros(3), sched)
+
+
+def test_forward_noise_array_of_timesteps_matches_rows(sched):
+    rng = np.random.default_rng(5)
+    x0 = rng.standard_normal((6, 3))
+    eps = rng.standard_normal((6, 3))
+    t = np.array([1, 2, 250, 500, 999, 1000])
+    rows = np.array([forward_noise(x0[i], int(t[i]), eps[i], sched)
+                     for i in range(t.size)])
+    assert np.array_equal(forward_noise(x0, t, eps, sched), rows)
+    for bad in (0, 1001):
+        with pytest.raises(DomainError):
+            forward_noise(x0, np.array([1, 2, bad, 4, 5, 6]), eps, sched)
+    with pytest.raises(RepresentationError):   # one timestep per row
+        forward_noise(x0[:, 0], t, eps[:, 0], sched)
 
 
 def _toy_batch(rng, size):
@@ -126,11 +140,12 @@ def test_sampling_deterministic_and_shaped(mini_stacked):
     models = GuidanceModels(denoiser=model)
     cond = ConditioningVector(tstar=0.4, log_v=-2.5, beam_ratio=0.2,
                               depth_ratio=0.1)
-    a = sample_conditional(models, cond, 8, sched, seed=5)
-    b = sample_conditional(models, cond, 8, sched, seed=5)
+    off = dict(gamma=0.0, lambda0=0.0, lambda1=0.0, sched=sched, seed=5)
+    a = sample_guided(models, cond, 1.0, 1.0, 8, **off)
+    b = sample_guided(models, cond, 1.0, 1.0, 8, **off)
     assert a.shape == (8, 13)
     assert np.array_equal(a, b)
-    assert sample_conditional(models, cond, 0, sched, seed=5).shape == (0, 13)
+    assert sample_guided(models, cond, 1.0, 1.0, 0, **off).shape == (0, 13)
 
 
 def test_guidance_off_equivalence_bitwise(mini_stacked):
@@ -142,8 +157,9 @@ def test_guidance_off_equivalence_bitwise(mini_stacked):
     guided = sample_guided(GuidanceModels(denoiser=model), cond, speed=5.0,
                            loa=50.0, n=6, gamma=0.0, lambda0=0.0, lambda1=0.0,
                            sched=sched, seed=21)
-    plain = sample_conditional(GuidanceModels(denoiser=model), cond, 6, sched,
-                               seed=21)
+    plain = sample_guided(GuidanceModels(denoiser=model), cond, speed=1.0,
+                          loa=1.0, n=6, gamma=0.0, lambda0=0.0, lambda1=0.0,
+                          sched=sched, seed=21)
     assert np.array_equal(guided, plain)
 
 

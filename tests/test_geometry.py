@@ -7,7 +7,7 @@ from hullforge.errors import (DomainError, FeasibilityError,
 from hullforge.geometry import (DRAFT_MARKS, SHAPE_NAMES,
                                 HullParams, centerplane_slopes,
                                 half_breadth, hull_from_row, hull_to_row,
-                                interpolate_curves, measure_at, measure_curves,
+                                measure_at, measure_curves,
                                 read_hull_csv, validate,
                                 write_hull_csv)
 from conftest import make_hull
@@ -99,7 +99,7 @@ def test_bulb_protrudes_at_center_height():
 
 def test_box_hull_measures_match_closed_forms(box_hull):
     curves = measure_curves(box_hull)
-    t = curves.draft_marks
+    t = DRAFT_MARKS
     b, d = 0.1, 0.05
     assert np.allclose(curves.vol, b * d * t, rtol=1e-6)
     # bottom + two sides + two submerged end caps
@@ -134,35 +134,6 @@ def test_first_mark_volume_matches_fine_integration(shape, nx, nzeta):
 def test_measure_infeasible_raises():
     with pytest.raises(FeasibilityError):
         measure_curves(make_hull(run_frac=0.6, entrance_frac=0.6))
-
-
-def test_interpolate_exact_at_marks(reference_hull):
-    curves = measure_curves(reference_hull)
-    k = 49
-    v, sa, wl = interpolate_curves(curves, float(curves.draft_marks[k]))
-    assert (v, sa, wl) == (curves.vol[k], curves.area[k], curves.wl[k])
-
-
-def test_interpolate_midway_is_mean(reference_hull):
-    curves = measure_curves(reference_hull)
-    mid = 0.5 * (curves.draft_marks[10] + curves.draft_marks[11])
-    v, sa, wl = interpolate_curves(curves, float(mid))
-    assert v == pytest.approx(0.5 * (curves.vol[10] + curves.vol[11]), rel=1e-12)
-    assert sa == pytest.approx(0.5 * (curves.area[10] + curves.area[11]), rel=1e-12)
-    assert wl == pytest.approx(0.5 * (curves.wl[10] + curves.wl[11]), rel=1e-12)
-
-
-def test_interpolate_box_analytic(box_hull):
-    curves = measure_curves(box_hull)
-    v, _sa, _wl = interpolate_curves(curves, 0.375)
-    assert v == pytest.approx(0.1 * 0.05 * 0.375, rel=1e-12)
-
-
-def test_interpolate_domain_error(box_hull):
-    curves = measure_curves(box_hull)
-    for bad in (0.0, -0.2, 1.01):
-        with pytest.raises(DomainError):
-            interpolate_curves(curves, bad)
 
 
 # -- slope fields -----------------------------------------------------------
@@ -248,7 +219,7 @@ def test_monotone_and_bounded_measures(hull):
     assert np.all(np.diff(curves.area) >= -1e-12)
     assert np.all(curves.vol >= 0) and np.all(curves.area >= 0)
     assert np.all((curves.wl >= 0) & (curves.wl <= 1 + 1e-15))
-    cap = hull.beam_ratio * hull.depth_ratio * curves.draft_marks
+    cap = hull.beam_ratio * hull.depth_ratio * DRAFT_MARKS
     assert np.all(curves.vol <= cap + 1e-12)
 
 

@@ -5,17 +5,28 @@ covers the package, the tests, the scripts and the benchmark.  The
 package's ``__init__.py`` is skipped: its imports are the package's
 public names.  A name imported only to register a pytest fixture would
 need an exception here; no module does that.
+
+Every name ``hullforge/__init__.py`` exports also has a caller outside
+the tests: the name appears in another package module (not on its own
+``def``/``class`` line), in ``scripts/`` or in ``benchmark/``.  A public
+function that only tests call is a second implementation to keep in step.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hullforge"
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "hullforge").glob("*.py") if p.name != "__init__.py"]
+    [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     + [p for d in ("tests", "scripts", "benchmark") for p in (ROOT / d).glob("*.py")])
+EXPORTS = sorted(alias.asname or alias.name
+                 for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+                 if isinstance(node, ast.ImportFrom) for alias in node.names)
+CALLER_SOURCES = [p.read_text() for p in MODULES if p.parent.name != "tests"]
 
 
 def unused_imports(source: str) -> list:
@@ -46,3 +57,22 @@ def test_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(module):
     assert unused_imports(module.read_text()) == []
+
+
+def mentions(name: str, source: str) -> bool:
+    """``name`` appears in ``source`` on a line other than its own def/class line."""
+    own = re.compile(rf"^\s*(?:def|class)\s+{name}\b")
+    word = re.compile(rf"\b{name}\b")
+    return any(word.search(line) and not own.match(line)
+               for line in source.splitlines())
+
+
+def test_check_finds_an_uncalled_definition():
+    assert not mentions("f", "def f(x):\n    return x\n")
+    assert mentions("f", "def f(x):\n    return x\n\ny = f(1)\n")
+    assert not mentions("f", "def fg():\n    pass\n")
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_export_has_a_caller_outside_the_tests(name):
+    assert any(mentions(name, source) for source in CALLER_SOURCES)
