@@ -308,8 +308,8 @@ def load_denoiser(path) -> DenoiserModel:
         if len(header) != 5 or header[0] != "denoiser":
             raise RepresentationError(f"not a denoiser archive: {path}")
         x_dim, cond_dim, embed_dim, timesteps = read_sizes(header[1:], path)
-        cond_w = read_block(fh, "CW", (embed_dim, cond_dim))
-        cond_b = read_block(fh, "cb", (embed_dim,))
+        cond_w = read_block(fh, "CW", (embed_dim, cond_dim), path)
+        cond_b = read_block(fh, "cb", (embed_dim,), path)
         mlp = read_mlp(fh, path)
     return DenoiserModel(mlp=mlp, cond_w=cond_w, cond_b=cond_b, x_dim=x_dim,
                          cond_dim=cond_dim, embed_dim=embed_dim,

@@ -219,7 +219,9 @@ def _half_breadth_grid(params: HullParams, x, zeta):
     del w_run, w_ent            # full-grid arrays: keep the peak memory down
 
     if s.deadrise_frac > 0.0:
-        sec = np.clip(zeta / s.deadrise_frac, 0.0, 1.0) ** (1.0 / s.section_fullness)
+        # clip before dividing: zeta / d overflows for a subnormal d
+        d = s.deadrise_frac
+        sec = (np.clip(zeta, 0.0, d) / d) ** (1.0 / s.section_fullness)
     else:
         sec = np.ones_like(zeta)
 

@@ -269,18 +269,26 @@ def write_block(fh, tag: str, arr) -> None:
         fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def read_block(fh, tag: str, shape: tuple) -> np.ndarray:
-    """A block written by write_block, checked against ``tag`` and ``shape``."""
+def read_block(fh, tag: str, shape: tuple, source) -> np.ndarray:
+    """A block written by write_block, checked against ``tag`` and ``shape``;
+    ``source`` names the archive in errors."""
     head = fh.readline().split()
     if head != [tag, *map(str, shape)]:
         raise RepresentationError(f"expected block {tag} of shape {shape}, "
-                                  f"got {' '.join(head)!r}")
-    rows = [[float(v) for v in fh.readline().split()]
-            for _ in range(shape[0] if len(shape) == 2 else 1)]
-    arr = np.array(rows if len(shape) == 2 else rows[0])
-    if arr.shape != shape:
-        raise RepresentationError(f"block {tag} is malformed")
-    return arr
+                                  f"got {' '.join(head)!r}: {source}")
+    rows = []
+    for i in range(shape[0] if len(shape) == 2 else 1):
+        fields = fh.readline().split()
+        if len(fields) != shape[-1]:
+            raise RepresentationError(
+                f"block {tag} row {i} has {len(fields)} values, expected "
+                f"{shape[-1]}: {source}")
+        try:
+            rows.append(np.array(fields, dtype=float))
+        except ValueError:
+            raise RepresentationError(
+                f"non-numeric value in block {tag} row {i}: {source}") from None
+    return np.array(rows) if len(shape) == 2 else rows[0]
 
 
 def read_sizes(fields, source) -> tuple:
@@ -310,8 +318,8 @@ def read_mlp(fh, source) -> MlpModel:
     sizes = read_sizes(header[1:-2], source)
     weights, biases = [], []
     for i in range(len(sizes) - 1):
-        weights.append(read_block(fh, f"W{i}", sizes[i:i + 2]))
-        biases.append(read_block(fh, f"b{i}", sizes[i + 1:i + 2]))
+        weights.append(read_block(fh, f"W{i}", sizes[i:i + 2], source))
+        biases.append(read_block(fh, f"b{i}", sizes[i + 1:i + 2], source))
     return MlpModel(sizes=sizes, weights=weights, biases=biases, head=header[-1])
 
 

@@ -331,14 +331,51 @@ def cmd_train(cfg: PipelineConfig, out_dir, which: str = "all") -> Path:
     return target
 
 
-def _load_models(out_dir: Path, *, need=tuple(MODEL_FILES),
-                 present=()) -> GuidanceModels:
-    """Parse the archives named in ``need``; those in ``present`` must exist."""
+def _model_digests(out_dir: Path, names) -> dict:
+    """sha256 of each named archive; a missing one names the group that
+    trains it."""
     mdir = _require(Path(out_dir) / "models", "train")
-    paths = {name: _require(mdir / fname, f"train --which {MODEL_GROUPS[name]}")
-             for name, fname in MODEL_FILES.items() if name in need or name in present}
-    loaded = {name: load_denoiser(paths[name]) if name == "denoiser"
-              else load_weights(paths[name]) for name in need}
+    return {name: _sha256(_require(mdir / fname,
+                                   f"train --which {MODEL_GROUPS[name]}"))
+            for name, fname in MODEL_FILES.items() if name in names}
+
+
+# Parsed networks for the life of the process: name -> (sha256 of the archive
+# bytes, model).  The same five archives serve every case, so each command
+# reuses what an earlier one parsed; other bytes under a name replace its
+# entry, so the memo never holds more than len(MODEL_FILES) models.
+_PARSED: dict[str, tuple[str, object]] = {}
+
+
+def _parse_read_only(path: Path, name: str):
+    """Parse one archive and freeze its arrays: through the memo, every later
+    command shares them."""
+    if name == "denoiser":
+        model = load_denoiser(path)
+        arrays = (model.cond_w, model.cond_b, *model.mlp.weights, *model.mlp.biases)
+    else:
+        model = load_weights(path)
+        arrays = (*model.weights, *model.biases)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return model
+
+
+def _load_models(out_dir: Path, *, need=tuple(MODEL_FILES),
+                 digests=None) -> GuidanceModels:
+    """The networks named in ``need``, each archive parsed once per distinct
+    content.  ``digests`` (from ``_model_digests``) spares a caller that has
+    already hashed the archives a second read."""
+    if digests is None:
+        digests = _model_digests(out_dir, need)
+    mdir = Path(out_dir) / "models"
+    loaded = {}
+    for name in need:
+        digest, model = _PARSED.get(name, (None, None))
+        if digest != digests[name]:
+            model = _parse_read_only(mdir / MODEL_FILES[name], name)
+            _PARSED[name] = (digests[name], model)
+        loaded[name] = model
     return GuidanceModels(
         denoiser=loaded.get("denoiser"),
         feasibility=loaded.get("classifier"),
@@ -384,7 +421,8 @@ def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
         if coef > 0:
             need.extend(nets)
     # every archive is hashed into provenance.meta, so all must exist
-    models = _load_models(out_dir, need=need, present=MODEL_FILES)
+    digests = _model_digests(out_dir, MODEL_FILES)
+    models = _load_models(out_dir, need=need, digests=digests)
     seed = _seed_int(cfg.seed, 31, sorted(cfg.cases).index(case_name),
                      SAMPLE_MODES.index(mode)) if seed is None else seed
 
@@ -395,7 +433,6 @@ def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
     shapes = normalizer.denormalize(vectors)
 
     target = out_dir / "samples" / case_name / mode
-    mdir = out_dir / "models"
     with _lock(out_dir), _atomic_dir(target) as tmp:
         write_hull_csv(tmp / "hulls.csv", [HullParams(case.loa, s) for s in shapes])
         write_meta(tmp / "provenance.meta", {
@@ -403,8 +440,7 @@ def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
             "gamma": gamma, "lambda0": lam0, "lambda1": lam1,
             "cond_tstar": cond.tstar, "cond_log_v": cond.log_v,
             "cond_beam_ratio": cond.beam_ratio, "cond_depth_ratio": cond.depth_ratio,
-            **{f"model_sha256_{k}": _sha256(mdir / v)
-               for k, v in MODEL_FILES.items()},
+            **{f"model_sha256_{k}": digests[k] for k in MODEL_FILES},
         })
         _write_manifest(tmp, cfg, f"sample:{case_name}:{mode}", {"sample": seed})
     return target

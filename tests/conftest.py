@@ -17,6 +17,21 @@ def make_hull(loa=50.0, **overrides) -> HullParams:
     return HullParams(loa, np.array([base[n] for n in SHAPE_NAMES]))
 
 
+# Ways to break the second row of an archive's first float block (line 3:
+# the archive header, the block header, then one line per row).
+MALFORMED_BLOCKS = {
+    "truncated": lambda lines: lines[:3],
+    "missing-value": lambda lines: [*lines[:3], lines[3].rsplit(" ", 1)[0], *lines[4:]],
+    "non-numeric": lambda lines: [*lines[:3], "x" + lines[3], *lines[4:]],
+}
+
+
+def malform_archive(path, case: str) -> None:
+    """Rewrite the archive at ``path`` broken in the way MALFORMED_BLOCKS[case] names."""
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(MALFORMED_BLOCKS[case](lines)) + "\n")
+
+
 @pytest.fixture
 def reference_hull():
     return make_hull()

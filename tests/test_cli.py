@@ -8,9 +8,10 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hullforge import neural, pipeline
@@ -18,8 +19,10 @@ from hullforge.cli import main
 from hullforge.config import (PipelineConfig, config_hash, default_cases,
                               dump_config, load_config, smoke_config)
 from hullforge.dataset import read_meta
-from hullforge.errors import ConfigurationError, TrainingError
+from hullforge.errors import (ConfigurationError, RepresentationError,
+                              TrainingError)
 from hullforge.geometry import HULL_FIELDS
+from conftest import malform_archive
 
 
 def run_cli(*args):
@@ -452,3 +455,84 @@ def test_cli_sample_parses_only_the_models_its_mode_uses(tmp_path):
     assert main([*sample, "--mode", "full"]) == 1
     resistance.unlink()
     assert main([*sample, "--mode", "unguided"]) == 2
+
+
+# -- parsed-model memo ----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def micro_models(tmp_path_factory):
+    """The micro config and an output directory holding its dataset and models."""
+    root = tmp_path_factory.mktemp("micro")
+    cfg = micro_config(root)
+    out = root / "out"
+    assert main(["gen-dataset", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    return load_config(cfg), out
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """An empty memo, and the archive names parsed through it, in order."""
+    monkeypatch.setattr(pipeline, "_PARSED", {})
+    names = []
+    for loader in ("load_weights", "load_denoiser"):
+        def counted(path, _real=getattr(pipeline, loader)):
+            names.append(Path(path).name)
+            return _real(path)
+        monkeypatch.setattr(pipeline, loader, counted)
+    return names
+
+
+def test_sample_parses_each_archive_once_per_process(micro_models, parses, tmp_path):
+    """A second output directory holding the same models is served from the
+    memo, and writes the bytes a fresh parse wrote."""
+    cfg, src = micro_models
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    shutil.copytree(src, out_a)
+    shutil.copytree(src, out_b)
+    pipeline.cmd_sample(cfg, out_a, "kayak", "full")
+    assert sorted(parses) == sorted(pipeline.MODEL_FILES.values())
+    parses.clear()
+    pipeline.cmd_sample(cfg, out_b, "kayak", "full")
+    assert parses == []
+    assert _tree(out_a / "samples") == _tree(out_b / "samples")
+
+
+def test_retrained_archive_is_parsed_again(micro_models, parses, tmp_path):
+    cfg, src = micro_models
+    out = tmp_path / "out"
+    shutil.copytree(src, out)
+    before = pipeline._load_models(out).resistance
+    pipeline.cmd_train(replace(cfg, seed=cfg.seed + 1), out, "regressors")
+    after = pipeline._load_models(out).resistance
+    fresh = neural.load_weights(out / "models" / "resistance.txt")
+    assert not np.array_equal(before.weights[0], after.weights[0])
+    for got, want in zip(after.weights + after.biases, fresh.weights + fresh.biases):
+        assert np.array_equal(got, want)
+    # the regressors were parsed again; classifier and denoiser bytes did not change
+    assert sorted(parses) == sorted([*pipeline.MODEL_FILES.values(), "resistance.txt",
+                                     "volume.txt", "waterline.txt"])
+    assert sorted(pipeline._PARSED) == sorted(pipeline.MODEL_FILES)
+
+
+def test_memoized_arrays_are_read_only(micro_models, parses):
+    models = pipeline._load_models(micro_models[1])
+    den = models.denoiser
+    nets = (models.resistance, models.volume, models.waterline,
+            models.feasibility, den.mlp)
+    arrays = [den.cond_w, den.cond_b,
+              *(arr for net in nets for arr in (*net.weights, *net.biases))]
+    assert arrays and not any(arr.flags.writeable for arr in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        models.resistance.weights[0][0, 0] = 0.0
+
+
+def test_corrupt_archive_raises_on_every_call(micro_models, parses, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(micro_models[1], out)
+    path = out / "models" / "resistance.txt"
+    malform_archive(path, "non-numeric")
+    for _ in range(2):
+        with pytest.raises(RepresentationError, match="resistance.txt"):
+            pipeline._load_models(out, need=("resistance",))
+    assert parses == ["resistance.txt"] * 2 and "resistance" not in pipeline._PARSED

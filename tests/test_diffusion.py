@@ -8,6 +8,7 @@ from hullforge.diffusion import (ConditioningVector, GuidanceModels,
 from hullforge.errors import (ConfigurationError, DomainError,
                              RepresentationError)
 from hullforge.neural import TrainConfig, init_mlp
+from conftest import MALFORMED_BLOCKS, malform_archive
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +222,17 @@ def test_denoiser_archive_rejects_bad_blocks(tmp_path, old, new):
     save_denoiser(model, path)
     path.write_text(path.read_text().replace(old, new, 1))
     with pytest.raises(RepresentationError):
+        load_denoiser(path)
+
+
+@pytest.mark.parametrize("case", MALFORMED_BLOCKS)
+def test_denoiser_archive_rejects_a_malformed_block(tmp_path, case):
+    """Never numpy's bare ValueError: the error names the block and the file."""
+    path = tmp_path / "denoiser.txt"
+    save_denoiser(init_denoiser(3, 2, linear_schedule(50), hidden=(4,),
+                                embed_dim=4), path)
+    malform_archive(path, case)
+    with pytest.raises(RepresentationError, match=r"block CW .*denoiser\.txt"):
         load_denoiser(path)
 
 

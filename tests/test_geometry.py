@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +136,18 @@ def test_first_mark_volume_matches_fine_integration(shape, nx, nzeta):
 def test_measure_infeasible_raises():
     with pytest.raises(FeasibilityError):
         measure_curves(make_hull(run_frac=0.6, entrance_frac=0.6))
+
+
+def test_subnormal_deadrise_measures_without_overflow():
+    """zeta / deadrise_frac overflows for a subnormal deadrise_frac; on the
+    grid such a hull is one whose sections reach full beam at the keel."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        curves = measure_curves(make_hull(1.0, deadrise_frac=5e-324))
+    full = measure_curves(make_hull(1.0, deadrise_frac=0.0))
+    for got, want in zip((curves.vol, curves.area, curves.wl),
+                         (full.vol, full.area, full.wl)):
+        assert np.allclose(got, want, rtol=0.01, atol=0.0)
 
 
 # -- slope fields -----------------------------------------------------------

@@ -5,6 +5,7 @@ from hullforge.errors import RepresentationError, TrainingError
 from hullforge.neural import (MlpModel, TrainConfig, accuracy, init_mlp,
                               load_weights, r_squared, save_weights,
                               train_classifier, train_regressor)
+from conftest import MALFORMED_BLOCKS, malform_archive
 
 
 def linear_model(w, b=0.0):
@@ -154,6 +155,16 @@ def test_weight_archive_validates_shapes(tmp_path):
         load_weights(path)
     path.write_text("mlp\n")
     with pytest.raises(RepresentationError):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("case", MALFORMED_BLOCKS)
+def test_weight_archive_rejects_a_malformed_block(tmp_path, case):
+    """Never numpy's bare ValueError: the error names the block and the file."""
+    path = tmp_path / "model.txt"
+    save_weights(init_mlp(3, (4,), 1, "linear", np.random.default_rng(23)), path)
+    malform_archive(path, case)
+    with pytest.raises(RepresentationError, match=r"block W0 .*model\.txt"):
         load_weights(path)
 
 
