@@ -11,6 +11,15 @@ which removes the endpoint singularity and turns the weight into
 cosh^2(theta).  The inner double integral treats the slope field as
 piecewise linear and integrates each cell against its exponential weight
 exactly, so the decay of deep cells is captured without resolution loss.
+
+The kernel (_wave_amplitude) takes one k0 per lambda node, so flow
+conditions that share a slope field are evaluated together: a Michell call
+over several conditions stacks every condition's theta nodes into one
+evaluation, then each round of tail blocks of the conditions still
+extending into one more.  Every row is computed independently, by the same
+operations as alone (the depth table e^{kappa z} is a cumulative product
+down from the waterline), so stacked values are bit for bit those of
+separate calls.  resistance_grid makes one call per draft and slope field.
 """
 
 from __future__ import annotations
@@ -133,8 +142,13 @@ def _linexp_weights(h):
     return a, b
 
 
-def _wave_amplitude(slopes: SlopeField, k0: float, lam: np.ndarray) -> np.ndarray:
-    """I + iJ for each lambda node, by exact piecewise-linear cell quadrature."""
+def _wave_amplitude(slopes: SlopeField, k0, lam: np.ndarray) -> np.ndarray:
+    """I + iJ for each lambda node, by exact piecewise-linear cell quadrature.
+
+    ``k0`` is one wavenumber for every node, or one per node: rows are
+    independent, so each row's value is the same whether it is evaluated
+    alone or stacked with other flow conditions' nodes.
+    """
     x, z, f = slopes.x, slopes.z, slopes.dydx
     dz = z[1] - z[0]
     dx = x[1] - x[0]
@@ -144,22 +158,27 @@ def _wave_amplitude(slopes: SlopeField, k0: float, lam: np.ndarray) -> np.ndarra
     # z-collapse: node weights from exact integration of PL * exp(kappa z).
     # A, B are folded into the node exponentials before exponentiating so
     # large kappa*dz never overflows (exp(kappa z) <= 1 throughout).  The
-    # exponential table itself is built by a downward recurrence from the
-    # waterline: one exp per lambda instead of nlam*nz.
+    # exponential table itself is one cumulative product downward from the
+    # waterline, e^{-kappa dz m} = ((1 e^{-kappa dz}) e^{-kappa dz}) ...: one
+    # exp per lambda instead of nlam*nz.
     h = kappa[:, None] * dz                                    # (nlam, 1)
     decay = np.exp(-h)                                         # e^{-kappa dz} <= 1
     ez = np.empty((lam.size, z.size))
-    ez[:, -1] = 1.0                                            # z = 0 row
-    for k in range(z.size - 2, -1, -1):
-        ez[:, k] = ez[:, k + 1] * decay[:, 0]
+    ez[:, 0] = 1.0                                             # z = 0, reversed
+    np.cumprod(np.broadcast_to(decay, (lam.size, z.size - 1)), axis=1,
+               out=ez[:, 1:])
+    ez = ez[:, ::-1]                                           # z ascending
     lo, hi = ez[:, :-1], ez[:, 1:]
-    small = np.abs(h) < 1e-5
-    hs = np.where(small, 1.0, h)
-    a_lo = np.where(small, (0.5 + h / 6.0 + h * h / 24.0) * lo,
-                    (hi - lo - hs * lo) / hs**2)
-    b_lo = np.where(small, (0.5 + h / 3.0 + h * h / 8.0) * lo,
-                    (hs * hi - hi + lo) / hs**2)
-    wz = np.zeros_like(ez)
+    # large-|h| weights everywhere, then the series on the few small-|h| rows
+    small = np.flatnonzero(np.abs(h[:, 0]) < 1e-5)
+    hs = h.copy()
+    hs[small] = 1.0
+    a_lo = (hi - lo - hs * lo) / hs**2
+    b_lo = (hs * hi - hi + lo) / hs**2
+    hm = h[small]
+    a_lo[small] = (0.5 + hm / 6.0 + hm * hm / 24.0) * lo[small]
+    b_lo[small] = (0.5 + hm / 3.0 + hm * hm / 8.0) * lo[small]
+    wz = np.zeros((lam.size, z.size))
     wz[:, :-1] += dz * a_lo
     wz[:, 1:] += dz * b_lo
 
@@ -209,9 +228,16 @@ def _simpson(y: np.ndarray, dx: float) -> float:
     return float(s * dx / 3.0)
 
 
-def michell_wave_resistance(slopes: SlopeField, cond: FlowCondition, *,
-                            n_theta: int = THETA_NODES) -> float:
+def michell_wave_resistance(slopes: SlopeField, cond, *,
+                            n_theta: int = THETA_NODES):
     """Wave-making resistance in Newtons for a centerplane slope field.
+
+    ``cond`` is one FlowCondition (returns a float) or a sequence of them
+    sharing ``slopes`` (returns an array, one value per condition).  The
+    conditions' theta nodes go through one wave-amplitude evaluation, and
+    each round of tail blocks through one more; the sums, stopping rule,
+    warnings and values are per condition, bit for bit those of separate
+    calls.
 
     The result is checked against the same integral on every other theta
     node; disagreement above REFINEMENT_WARN raises a
@@ -219,47 +245,64 @@ def michell_wave_resistance(slopes: SlopeField, cond: FlowCondition, *,
     range is extended until its last block contributes less than 1e-6 of
     the running total.
     """
-    if cond.speed <= 0:
+    single = isinstance(cond, FlowCondition)
+    conds = [cond] if single else list(cond)
+    if any(c.speed <= 0 for c in conds):
         raise DomainError("wave resistance needs a positive speed")
-    k0 = cond.g / cond.speed**2
-    theta = _theta_grid(k0, slopes.z, n_theta)
+    if not conds:
+        return np.empty(0)
+    k0 = [c.g / c.speed**2 for c in conds]
 
-    def integrand(th):
-        lam = np.cosh(th)
-        amp = _wave_amplitude(slopes, k0, lam)
-        return (amp.real**2 + amp.imag**2) * lam**2
+    def integrand(cs, ths):
+        """(I^2 + J^2) lambda^2 on the theta nodes ``ths`` of conditions ``cs``."""
+        lams = [np.cosh(th) for th in ths]
+        sizes = [th.size for th in ths]
+        amp = _wave_amplitude(slopes, np.repeat([k0[c] for c in cs], sizes),
+                              np.concatenate(lams))
+        vals = np.split(amp.real**2 + amp.imag**2, np.cumsum(sizes)[:-1])
+        return [v * lam**2 for v, lam in zip(vals, lams)]
 
-    vals = integrand(theta)
-    dthe = theta[1] - theta[0]
-    total = _simpson(vals, dthe)
+    live = list(range(len(conds)))          # conditions whose tail still grows
+    theta = [_theta_grid(k, slopes.z, n_theta) for k in k0]
+    vals = integrand(live, theta)
+    dthe = [th[1] - th[0] for th in theta]
+    total = [_simpson(v, d) for v, d in zip(vals, dthe)]
 
     # extend the truncation until the marginal block is negligible
     for _ in range(6):
-        width = theta[-1] - theta[0]
-        ext = np.linspace(theta[-1], theta[-1] + 0.25 * width, 33)
-        ext_vals = integrand(ext)
-        block = _simpson(ext_vals, ext[1] - ext[0])
-        if block <= TAIL_TOLERANCE * total:   # a zero field ends at once
+        if not live:
             break
-        theta = np.concatenate([theta, ext[1:]])
-        vals = np.concatenate([vals, ext_vals[1:]])
-        total += block
-    else:
-        warnings.warn("theta tail failed to decay below tolerance",
-                      QuadratureAccuracyWarning, stacklevel=2)
+        ext = [np.linspace(theta[c][-1], theta[c][-1]
+                           + 0.25 * (theta[c][-1] - theta[c][0]), 33) for c in live]
+        growing = []
+        for c, th, ext_vals in zip(live, ext, integrand(live, ext)):
+            block = _simpson(ext_vals, th[1] - th[0])
+            if block <= TAIL_TOLERANCE * total[c]:   # a zero field ends at once
+                continue
+            theta[c] = np.concatenate([theta[c], th[1:]])
+            vals[c] = np.concatenate([vals[c], ext_vals[1:]])
+            total[c] += block
+            growing.append(c)
+        live = growing
 
-    prefac = MICHELL_PREFACTOR * cond.rho * cond.g**2 / (math.pi * cond.speed**2)
-    rw = prefac * total
+    rws = []
+    for c, cnd in enumerate(conds):
+        if c in live:
+            warnings.warn("theta tail failed to decay below tolerance",
+                          QuadratureAccuracyWarning, stacklevel=2)
+        prefac = MICHELL_PREFACTOR * cnd.rho * cnd.g**2 / (math.pi * cnd.speed**2)
+        rw = prefac * total[c]
 
-    # self-check: same integrand on every other node
-    if vals.size >= 5 and vals.size % 2 == 1:
-        coarse = prefac * _simpson(vals[::2], 2.0 * dthe)
-        gap = abs(rw - coarse) / rw if rw > 0 else 0.0
-        if gap > REFINEMENT_WARN:
-            warnings.warn(
-                f"Michell quadrature self-check disagrees by {gap:.1%}",
-                QuadratureAccuracyWarning, stacklevel=2)
-    return rw
+        # self-check: same integrand on every other node
+        if vals[c].size >= 5 and vals[c].size % 2 == 1:
+            coarse = prefac * _simpson(vals[c][::2], 2.0 * dthe[c])
+            gap = abs(rw - coarse) / rw if rw > 0 else 0.0
+            if gap > REFINEMENT_WARN:
+                warnings.warn(
+                    f"Michell quadrature self-check disagrees by {gap:.1%}",
+                    QuadratureAccuracyWarning, stacklevel=2)
+        rws.append(rw)
+    return rws[0] if single else np.array(rws)
 
 
 def resistance_grid(params: HullParams, *, n_theta: int = THETA_NODES,
@@ -268,26 +311,24 @@ def resistance_grid(params: HullParams, *, n_theta: int = THETA_NODES,
 
     The grid is computed at a reference LOA of 1 m; see ResistanceGrid for
     the similitude rescaling.  Speeds at each node come from the hull's own
-    waterline length at that draft.
+    waterline length at that draft.  Each draft makes one Michell call per
+    slope field: the nodes below Fn 0.125 share a field refined along x and
+    z (short waves, and a thin exponential decay layer), the rest share
+    the plain field.
     """
     ref = HullParams(1.0, params.shape)
+    low = np.asarray(GRID_FROUDE) < 0.125
     rw = np.empty((len(GRID_DRAFTS), len(GRID_FROUDE)))
     for i, tstar in enumerate(GRID_DRAFTS):
         slopes = centerplane_slopes(ref, tstar, nx, nz)
-        fine = None
+        fine = centerplane_slopes(ref, tstar, LOW_FN_NX_FACTOR * nx, 2 * nz)
         x_aft, x_fwd = waterline_bounds(ref, tstar)
-        wl = x_fwd - x_aft
-        for j, fn in enumerate(GRID_FROUDE):
-            field = slopes
-            if fn < 0.125:   # short waves: denser sampling along x, and along
-                             # z where the exponential decay layer is thin
-                if fine is None:
-                    fine = centerplane_slopes(ref, tstar, LOW_FN_NX_FACTOR * nx,
-                                              2 * nz)
-                field = fine
-            speed = float(fn * froude_speed(wl, 1.0))
-            cond = FlowCondition(speed=speed, loa=1.0, tstar=tstar)
-            rw[i, j] = michell_wave_resistance(field, cond, n_theta=n_theta)
+        speed = froude_speed(x_fwd - x_aft, 1.0)
+        conds = [FlowCondition(speed=float(fn * speed), loa=1.0, tstar=tstar)
+                 for fn in GRID_FROUDE]
+        for field, nodes in ((fine, low), (slopes, ~low)):
+            rw[i, nodes] = michell_wave_resistance(
+                field, [c for c, on in zip(conds, nodes) if on], n_theta=n_theta)
     return ResistanceGrid(rw=rw)
 
 

@@ -263,10 +263,10 @@ def accuracy(model: MlpModel, x, y) -> float:
 def write_block(fh, tag: str, arr) -> None:
     """One float block: ``tag rows cols`` and a line per row for a matrix,
     ``tag size`` and one line for a vector."""
-    arr = np.asarray(arr)
+    arr = np.asarray(arr, dtype=float)
     fh.write(f"{tag} {' '.join(map(str, arr.shape))}\n")
     for row in np.atleast_2d(arr):
-        fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def read_block(fh, tag: str, shape: tuple, source) -> np.ndarray:

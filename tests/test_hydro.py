@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from hullforge.config import GRID_DRAFTS, GRID_FROUDE
 from hullforge.errors import (DomainError, QuadratureAccuracyWarning,
                               SingularityError)
-from hullforge.geometry import SlopeField, centerplane_slopes
+from hullforge.geometry import (HullParams, SlopeField, centerplane_slopes,
+                                waterline_bounds)
 from hullforge.hydro import (GRID_COLUMNS, FlowCondition, ResistanceGrid,
                              _linexp_weights, _wave_amplitude,
                              friction_resistance, froude_speed, grid_from_row,
@@ -14,6 +16,7 @@ from hullforge.hydro import (GRID_COLUMNS, FlowCondition, ResistanceGrid,
                              michell_wave_resistance,
                              predicted_total_resistance, resistance_coefficient,
                              resistance_grid)
+from conftest import make_hull
 
 
 def test_froude_supercarrier_point():
@@ -103,6 +106,48 @@ def test_michell_requires_positive_speed(wedge_hull):
     with pytest.raises(DomainError):
         michell_wave_resistance(field, FlowCondition(speed=0.0, loa=1.0,
                                                      tstar=0.5))
+    conds = [FlowCondition(speed=s, loa=1.0, tstar=0.5) for s in (1.0, 0.0, 2.0)]
+    with pytest.raises(DomainError):
+        michell_wave_resistance(field, conds)
+
+
+def _recorded(fn):
+    """fn()'s result and the number of QuadratureAccuracyWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, sum(issubclass(w.category, QuadratureAccuracyWarning)
+                    for w in caught)
+
+
+@pytest.mark.parametrize("nx,nz,tail_tolerance", [(512, 48, None), (1536, 96, None),
+                                                   (512, 48, 1e-13)])
+def test_michell_condition_sequence_matches_single_calls(reference_hull, nx, nz,
+                                                         tail_tolerance, monkeypatch):
+    # every grid speed through one call: each value bit for bit its own call's.
+    # The conditions' tails stop after different rounds; at 1e-13 the Fn 0.10
+    # tail never does, and only its call warns that it failed to decay.
+    from hullforge import hydro
+
+    if tail_tolerance is not None:
+        monkeypatch.setattr(hydro, "TAIL_TOLERANCE", tail_tolerance)
+    field = centerplane_slopes(HullParams(1.0, reference_hull.shape), 0.5, nx, nz)
+    conds = [FlowCondition(speed=fn * froude_speed(1.0, 1.0), loa=1.0, tstar=0.5)
+             for fn in GRID_FROUDE]
+    one, one_warned = _recorded(
+        lambda: [michell_wave_resistance(field, c) for c in conds])
+    stacked, stacked_warned = _recorded(lambda: michell_wave_resistance(field, conds))
+    assert isinstance(one[0], float)
+    assert stacked.shape == (len(conds),)
+    assert np.array_equal(stacked, one)
+    assert stacked_warned == one_warned
+    assert one_warned >= (tail_tolerance is not None)
+
+
+def test_michell_empty_condition_sequence(wedge_hull):
+    field = centerplane_slopes(wedge_hull, 0.5, 64, 24)
+    out = michell_wave_resistance(field, [])
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
 def test_resistance_grid_shape_and_positivity(reference_hull):
@@ -120,6 +165,33 @@ def test_resistance_grid_refinement(reference_hull):
         fine = resistance_grid(reference_hull, n_theta=768, nx=1024, nz=96)
     rel = np.abs(fine.rw - base.rw) / fine.rw
     assert rel.max() < 0.01
+
+
+def _grid_node_by_node(params, n_theta, nx, nz):
+    """resistance_grid as one single-condition Michell call per node."""
+    ref = HullParams(1.0, params.shape)
+    rw = np.empty((len(GRID_DRAFTS), len(GRID_FROUDE)))
+    for i, tstar in enumerate(GRID_DRAFTS):
+        coarse = centerplane_slopes(ref, tstar, nx, nz)
+        fine = centerplane_slopes(ref, tstar, 3 * nx, 2 * nz)
+        x_aft, x_fwd = waterline_bounds(ref, tstar)
+        for j, fn in enumerate(GRID_FROUDE):
+            cond = FlowCondition(speed=float(fn * froude_speed(x_fwd - x_aft, 1.0)),
+                                 loa=1.0, tstar=tstar)
+            rw[i, j] = michell_wave_resistance(coarse if fn >= 0.125 else fine,
+                                               cond, n_theta=n_theta)
+    return rw
+
+
+@pytest.mark.parametrize("bulb", [{}, dict(bulb_len=0.05, bulb_radius=0.06,
+                                           bulb_height=0.08)], ids=["plain", "bulb"])
+def test_resistance_grid_matches_node_by_node_calls(bulb):
+    hull = make_hull(**bulb)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureAccuracyWarning)
+        grid = resistance_grid(hull, n_theta=128, nx=128, nz=24)
+        want = _grid_node_by_node(hull, n_theta=128, nx=128, nz=24)
+    assert np.array_equal(grid.rw, want)
 
 
 def test_interpolated_grid_tracks_direct_evaluation(reference_hull):
@@ -175,19 +247,30 @@ def _direct_amplitude(field, k0, lam):
     return dx * ((ax * g[:, :-1] + bx * g[:, 1:]) * phase[:, :-1]).sum(axis=1)
 
 
-@pytest.mark.parametrize("nx,nz,fn", [(512, 48, 0.30), (1536, 96, 0.10)])
-def test_wave_amplitude_matches_direct_phase_table(reference_hull, nx, nz, fn):
+@pytest.mark.parametrize("nx,nz,fn,rel", [
+    pytest.param(512, 48, 0.30, 1e-12, id="512-48-0.3"),
+    pytest.param(1536, 96, 0.10, 1e-12, id="1536-96-0.1"),
+    pytest.param(512, 48, (0.10, 0.30), 1e-12, id="512-48-0.1+0.3"),
+    # at Fn 30 the nodes with theta below about 1.5 have kappa dz < 1e-5 and
+    # take the series z weights; just above that threshold the closed form
+    # loses about eps / (kappa dz)^2 to cancellation
+    pytest.param(512, 48, (0.30, 30.0), 1e-8, id="512-48-0.3+30"),
+])
+def test_wave_amplitude_matches_direct_phase_table(reference_hull, nx, nz, fn, rel):
     # theta from 0 to 14 spans lambda = 1 .. cosh(14); far out, the phase
     # of either sum is good to ~mu x eps only, so the bound is on the
     # largest amplitude rather than node by node
-    from hullforge.geometry import HullParams
-
     field = centerplane_slopes(HullParams(1.0, reference_hull.shape), 0.5, nx, nz)
-    k0 = 9.81 / (fn * froude_speed(1.0, 1.0)) ** 2
+    k0s = [9.81 / (f * froude_speed(1.0, 1.0)) ** 2 for f in np.atleast_1d(fn)]
     lam = np.cosh(np.linspace(0.0, 14.0, 1001))
+    # one k0 for all rows, or one per row with the Froude numbers interleaved
+    n = len(k0s)
+    k0 = k0s[0] if n == 1 else np.array(k0s)[np.arange(lam.size) % n]
     got = _wave_amplitude(field, k0, lam)
     want = _direct_amplitude(field, k0, lam)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+    for i, k in enumerate(k0s):   # each row's bits are its scalar-k0 call's
+        assert np.array_equal(got[i::n], _wave_amplitude(field, k, lam[i::n]))
 
 
 def test_interpolate_rw_nodes_and_midpoints():
