@@ -187,6 +187,14 @@ _SCHEMA = _schema()
 _CASE_KEYS = {"loa", "boa", "draft", "depth", "volume", "speed"}
 
 
+def _parse(section: str, key: str, kind, raw: str):
+    """``kind(raw)``, or a ConfigurationError naming the section and key."""
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad value for {section}.{key}: {raw!r}") from exc
+
+
 def load_config(path) -> PipelineConfig:
     """Parse and validate a config file, filling unset keys with defaults."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -206,18 +214,15 @@ def load_config(path) -> PipelineConfig:
             missing = _CASE_KEYS - set(got)
             if missing:
                 raise ConfigurationError(f"[{section}] missing keys: {sorted(missing)}")
-            cases[name] = TestCase(name, **{k: float(v) for k, v in got.items()})
+            cases[name] = TestCase(name, **{k: _parse(section, k, float, v)
+                                            for k, v in got.items()})
             continue
         if section not in _SCHEMA:
             raise ConfigurationError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigurationError(f"unknown config key {section}.{key}")
-            try:
-                val = _SCHEMA[section][key].type(raw)
-            except ValueError as exc:
-                raise ConfigurationError(f"bad value for {section}.{key}: {raw!r}") from exc
-            setattr(cfg, key, val)
+            setattr(cfg, key, _parse(section, key, _SCHEMA[section][key].type, raw))
 
     cfg.cases = cases
     cfg.__post_init__()

@@ -299,19 +299,29 @@ def save_normalizer(norm: Normalizer, path) -> None:
 
 
 def load_normalizer(path) -> Normalizer:
+    """A normalizer written by save_normalizer; a malformed file raises
+    RepresentationError naming it."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if not header or not header[0] == "quantile-normalizer":
-            raise RepresentationError(f"not a normalizer file: {path}")
-        dim = int(header[1].split("=")[1])
-        identity = tuple(int(v) for v in fh.readline().split()[1:])
-        blocks = {}
-        for line in fh:
-            parts = line.split()
-            blocks[parts[0]] = np.array([float(v) for v in parts[1:]])
-    def grab(tag):
-        return tuple(blocks[f"{tag}{i}"] for i in range(dim))
-    return Normalizer(grab("kx"), grab("ku"), grab("ix"), grab("iu"), identity)
+        lines = [line.split() for line in fh]
+    if not lines or not lines[0] or lines[0][0] != "quantile-normalizer":
+        raise RepresentationError(f"not a normalizer file: {path}")
+    try:
+        dim = int(lines[0][1].split("=")[1])
+        identity = tuple(int(v) for v in lines[1][1:])
+        blocks = {parts[0]: np.array([float(v) for v in parts[1:]])
+                  for parts in lines[2:]}
+        knots = {tag: tuple(blocks[f"{tag}{i}"] for i in range(dim))
+                 for tag in ("kx", "ku", "ix", "iu")}
+        for i in range(dim):
+            if (knots["kx"][i].size != knots["ku"][i].size
+                    or knots["ix"][i].size != knots["iu"][i].size):
+                raise ValueError(f"knot blocks of parameter {i} differ in length")
+    except KeyError as exc:
+        raise RepresentationError(
+            f"normalizer block {exc.args[0]} is missing: {path}") from None
+    except (IndexError, ValueError) as exc:
+        raise RepresentationError(f"malformed normalizer ({exc}): {path}") from None
+    return Normalizer(knots["kx"], knots["ku"], knots["ix"], knots["iu"], identity)
 
 
 # ---------------------------------------------------------------------------
@@ -452,21 +462,29 @@ def write_dataset_csv(records, path) -> None:
 
 
 def read_dataset_csv(path) -> list[HullRecord]:
+    """Records written by write_dataset_csv; a malformed row raises
+    RepresentationError naming the file and the line."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != DATASET_FIELDS:
+        if tuple(next(reader, ())) != DATASET_FIELDS:
             raise RepresentationError(f"unexpected dataset header in {path}")
         nh = len(HULL_FIELDS)
         nc = DRAFT_MARKS.size
         for row in reader:
-            params = hull_from_row(row[:nh])
-            feasible = row[nh] == "1"
-            if not feasible:
-                records.append(HullRecord(params, None, None, False))
-                continue
-            vals = [float(v) for v in row[nh + 1:]]
+            try:
+                if len(row) != len(DATASET_FIELDS):
+                    raise ValueError(f"{len(row)} cells, expected {len(DATASET_FIELDS)}")
+                if row[nh] not in ("0", "1"):
+                    raise ValueError(f"feasible flag {row[nh]!r}")
+                params = hull_from_row(row[:nh])
+                if row[nh] == "0":
+                    records.append(HullRecord(params, None, None, False))
+                    continue
+                vals = [float(v) for v in row[nh + 1:]]
+            except ValueError as exc:
+                raise RepresentationError(
+                    f"bad dataset row on line {reader.line_num} ({exc}): {path}") from None
             vol = np.array(vals[:nc])
             area = np.array(vals[nc:2 * nc])
             wl = np.array(vals[2 * nc:3 * nc])

@@ -140,9 +140,6 @@ class SlopeField:
     dydx: np.ndarray
 
 
-_COMPOSITES = ("taper_overlap", "rake_sum", "bulb_clearance", "bulb_tie")
-
-
 def validate(params: HullParams) -> FeasibilityReport:
     """Evaluate all box and composite constraints.
 
@@ -262,7 +259,7 @@ def _shell_band_areas(y, dx, dz):
     all sit on the centerplane are not hull surface and are skipped.
 
     y is (nz, nx).  dx is the x spacing, a scalar or an (nx-1,) row; dz is
-    the height spacing in LOA units, a scalar or an (nz-1, 1) column.
+    the (nz-1, 1) column of height spacings in LOA units.
     Returns an (nz-1,) array of band areas.
     """
     flat = (dx * dz) ** 2
@@ -288,38 +285,55 @@ def _shell_band_areas(y, dx, dz):
     return (tri * hull).sum(axis=1)
 
 
-def _measure_one(params, tstar, nz, nx):
-    """(V, SA, WL) at a single draft mark."""
+def _waterline_length(params, tstar):
+    """WL, LOA-normalized, at draft ratio ``tstar``; array-capable."""
+    return 1.0 - (params.bow_rake + params.stern_rake) * (1.0 - tstar)
+
+
+def _cumulative_measures(params, x, dx, zeta):
+    """(V, SA) below each height station but the keel, LOA-normalized.
+
+    x is a (1, nx) row of x-stations and dx their spacing, a scalar or an
+    (nx-1,) row; zeta is an (nz, 1) column of height stations, fractions
+    of the depth, from the keel up.  Volume sums trapezoid bands of the
+    waterplane area; wetted area sums the shell bands, then adds the
+    submerged end caps and the flat bottom.  Returns two (nz-1,) arrays.
+    """
     s = params
-    zeta = np.linspace(0.0, tstar, nz)[:, None]
-    x = np.linspace(0.0, 1.0, nx)[None, :]
+    d = s.depth_ratio
+    dz = np.diff(zeta[:, 0])
     y = _half_breadth_grid(s, x, zeta)
 
-    d = s.depth_ratio
-    vol = 2.0 * d * np.trapezoid(np.trapezoid(y, x[0], axis=1), zeta[:, 0])
-    shell = _shell_band_areas(y, x[0, 1] - x[0, 0], (zeta[1, 0] - zeta[0, 0]) * d).sum()
-
-    # flat bottom closes the hull when sections carry beam at the keel
-    bottom = 2.0 * np.trapezoid(y[0], x[0])
+    width = np.trapezoid(y, x[0], axis=1)              # waterplane half-area
+    vol = 2.0 * d * np.cumsum(0.5 * (width[1:] + width[:-1]) * dz)
+    area = np.cumsum(_shell_band_areas(y, dx, d * dz[:, None]))
 
     # vertical end caps appear only in the degenerate no-taper, no-rake limits
-    caps = 0.0
+    ends = []
     if s.run_frac == 0.0 and s.stern_rake == 0.0:
-        caps += 2.0 * d * np.trapezoid(y[:, 0], zeta[:, 0])
+        ends.append(y[:, 0])
     if s.entrance_frac == 0.0 and s.bow_rake == 0.0:
-        caps += 2.0 * d * np.trapezoid(y[:, -1], zeta[:, 0])
+        ends.append(y[:, -1])
+    if ends:
+        rows = sum(ends)
+        area += 2.0 * d * np.cumsum(0.5 * (rows[1:] + rows[:-1]) * dz)
 
-    x_aft, x_fwd = waterline_bounds(s, tstar)
-    return vol, shell + bottom + caps, x_fwd - x_aft
+    # flat bottom closes the hull when sections carry beam at the keel
+    area += 2.0 * np.trapezoid(y[0], x[0])
+    return vol, area
 
 
 def measure_at(params: HullParams, tstar: float, *, nz: int = MEASURE_NZ,
                nx: int = MEASURE_NX) -> tuple:
-    """(V, SA, WL), LOA-normalized, at one draft ratio in (0, 1]."""
+    """(V, SA, WL), LOA-normalized, at one draft ratio in (0, 1], on an
+    even ``nz`` x ``nx`` grid of the submerged hull."""
     require_evaluable(params)
     if not 0.0 < tstar <= 1.0:
         raise DomainError(f"draft ratio must be in (0, 1], got {tstar}")
-    return _measure_one(params, tstar, nz, nx)
+    x = np.linspace(0.0, 1.0, nx)
+    vol, area = _cumulative_measures(params, x[None, :], x[1] - x[0],
+                                     np.linspace(0.0, tstar, nz)[:, None])
+    return vol[-1], area[-1], _waterline_length(params, tstar)
 
 
 def measure_curves(params: HullParams) -> GeoCurves:
@@ -344,38 +358,19 @@ def measure_curves(params: HullParams) -> GeoCurves:
     """
     require_evaluable(params)
     s = params
-    d = s.depth_ratio
-    n_marks = DRAFT_MARKS.size
-    zeta = np.linspace(0.0, 1.0, n_marks * SUBSTATIONS + 1)
+    zeta = np.linspace(0.0, 1.0, DRAFT_MARKS.size * SUBSTATIONS + 1)
     zeta[:SUBSTATIONS] = zeta[SUBSTATIONS] * (np.arange(SUBSTATIONS) / SUBSTATIONS) ** 2
-    zeta = zeta[:, None]
     x = np.linspace(0.0, 1.0, MEASURE_NX)
     dx = x[1] - x[0]
     if s.bulb_len > 0.0:
         xc = _bulb_center(s)
         x = np.union1d(x, np.linspace(xc - s.bulb_len, xc + s.bulb_len, BULB_X_NODES))
         dx = np.diff(x)
-    dz = np.diff(zeta[:, 0])
-    x = x[None, :]
-    y = _half_breadth_grid(s, x, zeta)
-
-    width = np.trapezoid(y, x[0], axis=1)              # waterplane half-area
-    shell_bands = _shell_band_areas(y, dx, d * dz[:, None])
-    cap_rows = np.zeros_like(width)
-    if s.run_frac == 0.0 and s.stern_rake == 0.0:
-        cap_rows += y[:, 0]
-    if s.entrance_frac == 0.0 and s.bow_rake == 0.0:
-        cap_rows += y[:, -1]
-
-    def cumulative(bands):
-        return np.cumsum(bands)[SUBSTATIONS - 1::SUBSTATIONS]
-
-    vol = 2.0 * d * cumulative(0.5 * (width[1:] + width[:-1]) * dz)
-    bottom = 2.0 * np.trapezoid(y[0], x[0])
-    caps = 2.0 * d * cumulative(0.5 * (cap_rows[1:] + cap_rows[:-1]) * dz)
-    area = cumulative(shell_bands) + caps + bottom
-    wl = 1.0 - (s.bow_rake + s.stern_rake) * (1.0 - DRAFT_MARKS)
-    return GeoCurves(vol, area, wl)
+    vol, area = _cumulative_measures(s, x[None, :], dx, zeta[:, None])
+    # every SUBSTATIONS-th station is a mark; copies let the station sums go
+    marks = slice(SUBSTATIONS - 1, None, SUBSTATIONS)
+    return GeoCurves(vol[marks].copy(), area[marks].copy(),
+                     _waterline_length(s, DRAFT_MARKS))
 
 
 def centerplane_slopes(params: HullParams, tstar: float, nx: int, nz: int) -> SlopeField:
@@ -439,7 +434,10 @@ def write_hull_csv(path, hulls) -> None:
 def read_hull_csv(path) -> list:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != HULL_FIELDS:
+        if tuple(next(reader, ())) != HULL_FIELDS:
             raise RepresentationError(f"unexpected hull CSV header in {path}")
-        return [hull_from_row(row) for row in reader]
+        try:
+            return [hull_from_row(row) for row in reader]
+        except ValueError as exc:
+            raise RepresentationError(
+                f"bad hull row on line {reader.line_num} ({exc}): {path}") from None

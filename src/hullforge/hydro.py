@@ -45,14 +45,12 @@ PHASE_BLOCK = 32            # x nodes per block of the phase sum
 
 @dataclass(frozen=True)
 class FlowCondition:
-    """Speed and scale for one resistance evaluation, in seawater."""
+    """Speed and scale for one resistance evaluation, in seawater
+    (WaterConstants)."""
 
     speed: float            # m/s
     loa: float              # m
     tstar: float            # draft ratio in (0, 1]
-    rho: ClassVar[float] = WaterConstants.rho
-    g: ClassVar[float] = WaterConstants.g
-    nu: ClassVar[float] = WaterConstants.nu
 
     def __post_init__(self):
         if self.speed < 0:
@@ -85,22 +83,15 @@ def froude_speed(wl, loa):
     return np.sqrt(WaterConstants.g * wl * loa)
 
 
-def _log10(x):
-    """math.log10 of a scalar, np.log10 of an array.
-
-    The two differ in the last bit on about 1% of Reynolds numbers; scalar
-    callers (the audits' R_f) and array callers (the training rows) each
-    keep the values they have always produced.
-    """
-    return math.log10(x) if np.ndim(x) == 0 else np.log10(x)
-
-
 def ittc_line(reynolds):
     """ITTC-1957 correlation line: C_f = 0.075 / (log10(Re) - 2)^2; array-capable."""
     if np.any(np.asarray(reynolds) <= 100.0):
         raise SingularityError(
             f"ITTC line is singular for Re <= 100, got {np.min(reynolds)}")
-    return 0.075 / (_log10(reynolds) - 2.0) ** 2
+    lg = np.log10(reynolds) - 2.0
+    # lg * lg, not lg ** 2: a scalar's ** 2 calls pow() and an array's
+    # multiplies, which differ in the last bit on about 0.06% of inputs
+    return 0.075 / (lg * lg)
 
 
 def skin_friction(speed, sa, wl, loa):
@@ -123,7 +114,7 @@ def friction_resistance(cond: FlowCondition, sa: float, wl: float) -> float:
 
 def resistance_coefficient(total, speed, loa):
     """C_T = log10(R_T / (0.5 rho U^2 LOA^2)); array-capable."""
-    return _log10(total / (0.5 * WaterConstants.rho * speed**2 * loa**2))
+    return np.log10(total / (0.5 * WaterConstants.rho * speed**2 * loa**2))
 
 
 def _linexp_weights(h):
@@ -251,7 +242,7 @@ def michell_wave_resistance(slopes: SlopeField, cond, *,
         raise DomainError("wave resistance needs a positive speed")
     if not conds:
         return np.empty(0)
-    k0 = [c.g / c.speed**2 for c in conds]
+    k0 = [WaterConstants.g / c.speed**2 for c in conds]
 
     def integrand(cs, ths):
         """(I^2 + J^2) lambda^2 on the theta nodes ``ths`` of conditions ``cs``."""
@@ -290,7 +281,8 @@ def michell_wave_resistance(slopes: SlopeField, cond, *,
         if c in live:
             warnings.warn("theta tail failed to decay below tolerance",
                           QuadratureAccuracyWarning, stacklevel=2)
-        prefac = MICHELL_PREFACTOR * cnd.rho * cnd.g**2 / (math.pi * cnd.speed**2)
+        prefac = (MICHELL_PREFACTOR * WaterConstants.rho * WaterConstants.g**2
+                  / (math.pi * cnd.speed**2))
         rw = prefac * total[c]
 
         # self-check: same integrand on every other node
@@ -356,7 +348,7 @@ def grid_lookup(rws: np.ndarray, idx, tstar, fn):
 
 def predicted_total_resistance(c_t: float, cond: FlowCondition) -> float:
     """Inverse of the coefficient scale: R_T = 10^{C_T} * 0.5 rho U^2 LOA^2."""
-    return 10.0**c_t * 0.5 * cond.rho * cond.speed**2 * cond.loa**2
+    return 10.0**c_t * 0.5 * WaterConstants.rho * cond.speed**2 * cond.loa**2
 
 
 GRID_COLUMNS = tuple(

@@ -179,6 +179,16 @@ def test_cli_rejects_a_bad_value_before_any_work(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_cli_rejects_a_non_numeric_case_value(tmp_path, capsys):
+    path = micro_config(tmp_path)
+    path.write_text(path.read_text() + "\n[case:barge]\nloa = abc\nboa = 10\n"
+                    "draft = 2\ndepth = 3\nvolume = 500\nspeed = 3\n")
+    out = tmp_path / "out"
+    assert main(["gen-dataset", "--config", str(path), "--out", str(out)]) == 1
+    assert "error: bad value for case:barge.loa: 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_a_negative_seed_flag(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["gen-dataset", "--config", str(micro_config(tmp_path)),

@@ -15,8 +15,8 @@ from hullforge.dataset import (DATASET_FIELDS, build_dataset,
                                resistance_rows, sample_infeasible_vector,
                                sample_random_hull, save_normalizer,
                                write_dataset_csv, write_meta)
-from hullforge.errors import DomainError, GenerationError
-from hullforge.geometry import validate
+from hullforge.errors import DomainError, GenerationError, RepresentationError
+from hullforge.geometry import HULL_FIELDS, validate
 from hullforge.hydro import grid_lookup
 
 
@@ -219,6 +219,27 @@ def test_normalizer_save_load_roundtrip(tmp_path, mini_normalizer):
                           mini_normalizer.denormalize(probe))
 
 
+# Ways to break a normalizer file: a header line, an identity line, then
+# one knot line per block.
+MALFORMED_NORMALIZERS = {
+    "truncated": lambda lines: lines[:3],
+    "header-only": lambda lines: lines[:1],
+    "missing-value": lambda lines: [*lines[:3], lines[3].rsplit(" ", 1)[0], *lines[4:]],
+    "non-numeric": lambda lines: [*lines[:2], lines[2] + " x", *lines[3:]],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_NORMALIZERS)
+def test_load_normalizer_rejects_a_malformed_file(tmp_path, mini_normalizer, case):
+    """Never a bare KeyError, IndexError or ValueError: the error names the file."""
+    path = tmp_path / "norm.txt"
+    save_normalizer(mini_normalizer, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(MALFORMED_NORMALIZERS[case](lines)) + "\n")
+    with pytest.raises(RepresentationError, match=r"normalizer .*norm\.txt"):
+        load_normalizer(path)
+
+
 # -- training rows ------------------------------------------------------------
 
 def test_training_row_deterministic(mini_stacked):
@@ -289,6 +310,28 @@ def test_dataset_csv_roundtrip(tmp_path, mini_records):
             assert np.array_equal(a.grid.rw, b.grid.rw)
     with open(path) as fh:
         assert tuple(fh.readline().strip().split(",")) == DATASET_FIELDS
+
+
+# Ways to break a feasible dataset row, given as its list of cells.
+MALFORMED_ROWS = {
+    "truncated": lambda cells: cells[:len(cells) // 2],
+    "non-numeric-hull": lambda cells: ["abc", *cells[1:]],
+    "non-numeric-value": lambda cells: [*cells[:-1], "abc"],
+    "bad-flag": lambda cells: [*cells[:len(HULL_FIELDS)], "2",
+                               *cells[len(HULL_FIELDS) + 1:]],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ROWS)
+def test_dataset_csv_rejects_a_malformed_row(tmp_path, mini_records, case):
+    """Never numpy's or float()'s bare ValueError: the error names the
+    line and the file."""
+    path = tmp_path / "hulls.csv"
+    write_dataset_csv([next(r for r in mini_records if r.feasible)], path)
+    header, row = path.read_text().splitlines()
+    path.write_text(header + "\n" + ",".join(MALFORMED_ROWS[case](row.split(","))) + "\n")
+    with pytest.raises(RepresentationError, match=r"line 2 .*hulls\.csv"):
+        read_dataset_csv(path)
 
 
 def test_meta_roundtrip(tmp_path):

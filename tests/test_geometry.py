@@ -117,6 +117,37 @@ def test_measure_at_box_value(box_hull):
     assert wl == 1.0
 
 
+# measure_at on its default grid, pinned to a direct integration of the same
+# grid: 2-D trapezoid volume, and shell, bottom and cap areas summed whole
+PINNED_MEASURES = {
+    "box": (0.37, 0.0018499999999999996, 0.14070000000000002),
+    "plain": (0.37, 0.007272232179944988, 0.20573811281192328),
+    "bulb": (0.8, 0.019657153593038285, 0.35623319786935387),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_MEASURES)
+def test_measure_at_pinned_values(name, box_hull):
+    hull = {"box": box_hull, "plain": make_hull(),
+            "bulb": make_hull(bulb_len=0.05, bulb_radius=0.05, bulb_height=0.06)}[name]
+    tstar, vol, area = PINNED_MEASURES[name]
+    v, sa, _ = measure_at(hull, tstar)
+    assert v == pytest.approx(vol, rel=1e-13)
+    assert sa == pytest.approx(area, rel=1e-13)
+
+
+def test_measure_at_waterline_is_the_curves_waterline():
+    """Both measures take WL from one expression, so they agree bit for bit."""
+    from hullforge.dataset import sample_random_hull
+
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        hull = sample_random_hull(rng)
+        wl = measure_curves(hull).wl
+        for k in rng.choice(DRAFT_MARKS.size, 4, replace=False):
+            assert measure_at(hull, DRAFT_MARKS[k], nz=8, nx=16)[2] == wl[k]
+
+
 @pytest.mark.parametrize("shape,nx,nzeta", [
     # (zeta / deadrise)^(1 / section_fullness) has an infinite slope at the keel
     (dict(section_fullness=5.5, deadrise_frac=0.03), 1025, 2049),
@@ -272,6 +303,16 @@ def test_hull_csv_roundtrip(tmp_path, reference_hull):
     for a, b in zip(hulls, back):
         assert a.loa == b.loa
         assert np.array_equal(a.shape, b.shape)
+
+
+@pytest.mark.parametrize("text", ["", "abc" + ",0.2" * 13 + "\n", "50.0,0.2\n"],
+                         ids=["empty", "non-numeric", "truncated"])
+def test_hull_csv_rejects_a_malformed_file(tmp_path, text):
+    path = tmp_path / "hulls.csv"
+    write_hull_csv(path, [make_hull()])
+    path.write_text(text and path.read_text() + text)
+    with pytest.raises(RepresentationError, match=r"hulls\.csv"):
+        read_hull_csv(path)
 
 
 def test_hull_row_arity():

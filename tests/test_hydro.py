@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hullforge.config import GRID_DRAFTS, GRID_FROUDE
+from hullforge.config import GRID_DRAFTS, GRID_FROUDE, WaterConstants
 from hullforge.errors import (DomainError, QuadratureAccuracyWarning,
                               SingularityError)
 from hullforge.geometry import (HullParams, SlopeField, centerplane_slopes,
@@ -37,6 +37,12 @@ def test_ittc_spot_values():
     assert ittc_line(1e9) == pytest.approx(0.075 / 49.0, abs=1e-7)
     assert ittc_line(1e7) == pytest.approx(3.0e-3, abs=1e-7)
     assert ittc_line(1e12) == pytest.approx(7.5e-4, abs=1e-7)
+
+
+def test_ittc_scalar_matches_array():
+    """One formula for scalars and arrays: no last-bit fork between them."""
+    for re in 10.0 ** np.random.default_rng(8).uniform(3.0, 10.0, 20000):
+        assert ittc_line(float(re)) == ittc_line(np.array([re]))[0]
 
 
 def test_ittc_singularity():
@@ -220,12 +226,13 @@ def test_michell_tail_truncation_negligible(wedge_hull):
     cond = FlowCondition(speed=0.3 * froude_speed(1.0, 1.0), loa=1.0,
                          tstar=0.5)
     base = michell_wave_resistance(field, cond, n_theta=768)
-    k0 = cond.g / cond.speed**2
+    k0 = WaterConstants.g / cond.speed**2
     theta = np.linspace(0.0, 14.0, 8193)   # far beyond the adaptive cutoff
     lam = np.cosh(theta)
     amp = hydro._wave_amplitude(field, k0, lam)
     vals = (amp.real**2 + amp.imag**2) * lam**2
-    pref = hydro.MICHELL_PREFACTOR * cond.rho * cond.g**2 / (np.pi * cond.speed**2)
+    pref = (hydro.MICHELL_PREFACTOR * WaterConstants.rho * WaterConstants.g**2
+            / (np.pi * cond.speed**2))
     extended = pref * hydro._simpson(vals, theta[1] - theta[0])
     assert base == pytest.approx(extended, rel=1e-4)
 

@@ -10,10 +10,15 @@ Every name ``hullforge/__init__.py`` exports also has a caller outside
 the tests: the name appears in another package module (not on its own
 ``def``/``class`` line), in ``scripts/`` or in ``benchmark/``.  A public
 function that only tests call is a second implementation to keep in step.
+
+Every module-level ``def``, ``class`` or assignment in the package is
+read somewhere outside the tests: the name appears on another line of its
+module, in another package module, in ``scripts/`` or in ``benchmark/``.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,6 +32,8 @@ EXPORTS = sorted(alias.asname or alias.name
                  for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
                  if isinstance(node, ast.ImportFrom) for alias in node.names)
 CALLER_SOURCES = [p.read_text() for p in MODULES if p.parent.name != "tests"]
+PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
+WORD = re.compile(r"\w+")
 
 
 def unused_imports(source: str) -> list:
@@ -76,3 +83,43 @@ def test_check_finds_an_uncalled_definition():
 @pytest.mark.parametrize("name", EXPORTS)
 def test_export_has_a_caller_outside_the_tests(name):
     assert any(mentions(name, source) for source in CALLER_SOURCES)
+
+
+def module_names(source: str) -> dict:
+    """name -> line of each module-level def, class or assignment target."""
+    names = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((n.id, n.lineno) for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {k: v for k, v in names.items() if not k.startswith("__")}
+
+
+def unread_names(source: str, others=()) -> list:
+    """Module-level names of ``source`` that neither another of its lines
+    nor any text in ``others`` mentions."""
+    lines = source.splitlines()
+    counts = Counter(WORD.findall(source))
+    elsewhere = {w for text in others for w in WORD.findall(text)}
+    return sorted(name for name, line in module_names(source).items()
+                  if name not in elsewhere
+                  and counts[name] == WORD.findall(lines[line - 1]).count(name))
+
+
+def test_check_finds_an_unread_name():
+    source = ("A = 1\nB, C = 2, 3\nD: int = 4\n\n"
+              "def f():\n    return B\n\nclass K:\n    pass\n")
+    assert unread_names(source) == ["A", "C", "D", "K", "f"]
+    assert unread_names(source, ["f(A, K)", "D_2 = C"]) == ["D"]
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_module_level_names_are_read(module):
+    source = module.read_text()
+    others = [p.read_text() for p in PACKAGE_MODULES if p != module]
+    others += [p.read_text() for d in ("scripts", "benchmark")
+               for p in (ROOT / d).glob("*.py")]
+    assert unread_names(source, others) == []
