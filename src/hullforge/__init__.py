@@ -15,7 +15,7 @@ from .geometry import (GeoCurves, HullParams, FeasibilityReport, half_breadth,
 from .hydro import (FlowCondition, ResistanceGrid, friction_resistance,
                     michell_wave_resistance, predicted_total_resistance,
                     resistance_grid)
-from .dataset import (HullRecord, Normalizer, build_dataset, fit_normalizer,
+from .dataset import (HullTable, Normalizer, build_dataset, fit_normalizer,
                       sample_random_hull)
 from .neural import MlpModel, TrainConfig, train_classifier, train_regressor
 from .diffusion import (ConditioningVector, DenoiserModel, GuidanceModels,

@@ -259,11 +259,11 @@ def cache_key(cfg: PipelineConfig) -> str:
     return f"{config_hash(cfg)}-{digest.hexdigest()[:16]}"
 
 
-def smoke_config(seed: int = 7) -> PipelineConfig:
+def smoke_config() -> PipelineConfig:
     """A small configuration for end-to-end smoke runs (minutes, not hours)."""
     cfg = PipelineConfig(
         n_hulls=64,
-        seed=seed,
+        seed=7,
         rows_per_hull=64,
         resistance_steps=1200,
         volume_steps=800,

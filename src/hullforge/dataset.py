@@ -2,9 +2,9 @@
 
 A dataset holds n feasible hulls (with geometry curves and wave-resistance
 grids) plus n constraint-violating bare design vectors for classifier
-training.  Everything is a pure function of (n, seed, scheme constants):
-records are generated from per-index child seeds, so worker count and
-scheduling cannot change the result.
+training, as one array table.  Everything is a pure function of (n, seed,
+scheme constants): hulls are generated from per-index child seeds, so
+worker count and scheduling cannot change the result.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (COND_TSTAR_RANGE, FROUDE_RANGE, LOA_RANGE, LOG10_LOA_RANGE,
-                     PLANE_NX, PLANE_NZ, THETA_NODES, TSTAR_RANGE)
+from .config import (COND_TSTAR_RANGE, FROUDE_RANGE, GRID_DRAFTS, GRID_FROUDE,
+                     LOA_RANGE, LOG10_LOA_RANGE, PLANE_NX, PLANE_NZ, THETA_NODES,
+                     TSTAR_RANGE)
 from .errors import DomainError, GenerationError, RepresentationError
 from .geometry import (BOX_BOUNDS, DRAFT_MARKS, HULL_FIELDS, SHAPE_NAMES,
-                       GeoCurves, HullParams, hull_from_row, hull_to_row,
-                       measure_curves, validate, write_csv)
-from .hydro import (GRID_COLUMNS, FlowCondition, ResistanceGrid, froude_speed,
-                    grid_from_row, grid_lookup, grid_to_row,
+                       HullParams, measure_curves, validate, write_csv)
+from .hydro import (GRID_COLUMNS, FlowCondition, froude_speed, grid_lookup,
                     predicted_total_resistance, resistance_coefficient,
                     resistance_grid, skin_friction)
 
@@ -40,13 +39,20 @@ _BULB_IDX = [SHAPE_NAMES.index(n) for n in ("bulb_len", "bulb_radius", "bulb_hei
 
 
 @dataclass(frozen=True)
-class HullRecord:
-    """One dataset entry; curves and grid are present iff the hull is feasible."""
+class HullTable:
+    """The dataset as arrays, one row per hull in file order.
 
-    params: HullParams
-    curves: GeoCurves | None
-    grid: ResistanceGrid | None
-    feasible: bool
+    ``loa``, ``shapes`` and ``feasible`` cover every row; the curves (at the
+    DRAFT_MARKS) and grids cover the feasible rows only, in row order.
+    """
+
+    loa: np.ndarray         # (n,)
+    shapes: np.ndarray      # (n, 13) raw
+    feasible: np.ndarray    # (n,) bool
+    vols: np.ndarray        # (n_feasible, 100)
+    areas: np.ndarray       # (n_feasible, 100)
+    wls: np.ndarray         # (n_feasible, 100)
+    rws: np.ndarray         # (n_feasible, 4, 8) at LOA = 1 m
 
 
 def _random_loa(rng) -> float:
@@ -138,8 +144,7 @@ def _set_blas_threads(n: int) -> int | None:
     return None
 
 
-def pool_map(fn, jobs: list, workers: int = 0, *, threads: bool = False,
-             chunksize: int = 1) -> list:
+def pool_map(fn, jobs: list, workers: int = 0, *, threads: bool = False) -> list:
     """``[fn(job) for job in jobs]``, in order, on ``workers`` workers
     (``0``: one per CPU; never more than there are jobs).
 
@@ -160,7 +165,7 @@ def pool_map(fn, jobs: list, workers: int = 0, *, threads: bool = False,
     if not threads:
         with ProcessPoolExecutor(size, initializer=_set_blas_threads,
                                  initargs=(1,)) as pool:
-            return list(pool.map(fn, jobs, chunksize=chunksize))
+            return list(pool.map(fn, jobs))
     before = _set_blas_threads(1)   # the count is per process, not per thread
     try:
         with ThreadPoolExecutor(size) as pool:
@@ -178,28 +183,33 @@ def _build_one(args):
         warnings.simplefilter("ignore")
         curves = measure_curves(params)
         grid = resistance_grid(params, n_theta=n_theta, nx=nx, nz=nz)
-    return HullRecord(params, curves, grid, True)
+    return params, curves, grid.rw
 
 
 def build_dataset(n: int, seed: int, *, n_theta: int = THETA_NODES,
                   nx: int = PLANE_NX, nz: int = PLANE_NZ,
-                  workers: int = 0) -> list[HullRecord]:
-    """n feasible records (curves + grids) followed by n infeasible vectors.
+                  workers: int = 0) -> HullTable:
+    """n feasible hulls (curves + grids) followed by n infeasible vectors.
 
-    The feasible records are built through :func:`pool_map` with
-    ``workers`` processes (``0``: one per CPU, ``1``: in this process).
+    The feasible hulls are built through :func:`pool_map` with ``workers``
+    processes (``0``: one per CPU, ``1``: in this process).
     """
     if n < 1:
         raise DomainError("dataset size must be >= 1")
     seeds = np.random.SeedSequence(seed).spawn(n + 1)
-    records = pool_map(_build_one, [(s, n_theta, nx, nz) for s in seeds[:n]],
-                       workers, chunksize=8)
-
+    built = pool_map(_build_one, [(s, n_theta, nx, nz) for s in seeds[:n]], workers)
     bad_rng = np.random.default_rng(seeds[n])
-    records.extend(
-        HullRecord(sample_infeasible_vector(bad_rng), None, None, False)
-        for _ in range(n))
-    return records
+    hulls = [p for p, _, _ in built] + [sample_infeasible_vector(bad_rng)
+                                        for _ in range(n)]
+    return HullTable(
+        loa=np.array([h.loa for h in hulls]),
+        shapes=np.array([h.shape for h in hulls]),
+        feasible=np.arange(2 * n) < n,
+        vols=np.array([c.vol for _, c, _ in built]),
+        areas=np.array([c.area for _, c, _ in built]),
+        wls=np.array([c.wl for _, c, _ in built]),
+        rws=np.array([rw for _, _, rw in built]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +259,12 @@ class Normalizer:
         return out
 
 
-def fit_normalizer(records_or_matrix, *, min_samples: int = 64) -> Normalizer:
-    """Fit per-parameter quantile maps from the feasible sample.
+def fit_normalizer(mat, *, min_samples: int = 64) -> Normalizer:
+    """Fit per-parameter quantile maps from a raw (n, dim) sample.
 
-    Accepts either dataset records (feasible ones are used) or a raw
-    (n, dim) matrix.  Parameters with zero variance get an identity map and
-    a warning.
+    Parameters with zero variance get an identity map and a warning.
     """
-    if isinstance(records_or_matrix, np.ndarray):
-        mat = np.asarray(records_or_matrix, dtype=float)
-    else:
-        mat = np.array([r.params.shape for r in records_or_matrix if r.feasible])
+    mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < min_samples:
         raise DomainError(f"normalizer needs >= {min_samples} feasible samples")
     n, dim = mat.shape
@@ -330,7 +335,7 @@ def load_normalizer(path) -> Normalizer:
 
 @dataclass(frozen=True)
 class StackedDataset:
-    """Feasible-record arrays laid out for vectorized row sampling."""
+    """Feasible-row arrays laid out for vectorized row sampling."""
 
     shapes: np.ndarray       # (n, 13) raw
     norm_shapes: np.ndarray  # (n, 13) normalized
@@ -344,16 +349,17 @@ class StackedDataset:
         return self.shapes.shape[0]
 
 
-def stack_records(records, normalizer: Normalizer) -> StackedDataset:
-    feas = [r for r in records if r.feasible]
-    shapes = np.array([r.params.shape for r in feas])
+def stack_records(table: HullTable, rows, normalizer: Normalizer) -> StackedDataset:
+    """The feasible rows ``rows`` (indices among the feasible rows), laid
+    out for row sampling."""
+    shapes = table.shapes[table.feasible][rows]
     return StackedDataset(
         shapes=shapes,
         norm_shapes=normalizer.normalize(shapes),
-        vols=np.array([r.curves.vol for r in feas]),
-        areas=np.array([r.curves.area for r in feas]),
-        wls=np.array([r.curves.wl for r in feas]),
-        rws=np.array([r.grid.rw for r in feas]),
+        vols=table.vols[rows],
+        areas=table.areas[rows],
+        wls=table.wls[rows],
+        rws=table.rws[rows],
     )
 
 
@@ -431,10 +437,13 @@ def geometry_rows(data: StackedDataset, rng: np.random.Generator, n_rows: int):
     return x, np.log10(vol), wl
 
 
-def classifier_rows(records, normalizer: Normalizer):
-    """All dataset vectors with feasibility labels, normalized."""
-    raw = np.array([r.params.shape for r in records])
-    labels = np.array([1.0 if r.feasible else 0.0 for r in records])
+def classifier_rows(table: HullTable, rows, normalizer: Normalizer):
+    """The feasible rows ``rows`` (indices among the feasible rows), then
+    every infeasible row: normalized vectors and feasibility labels."""
+    good = np.flatnonzero(table.feasible)[rows]
+    bad = np.flatnonzero(~table.feasible)
+    raw = table.shapes[np.concatenate([good, bad])]
+    labels = np.concatenate([np.ones(good.size), np.zeros(bad.size)])
     return normalizer.normalize(raw), labels
 
 
@@ -446,52 +455,46 @@ _CURVE_COLUMNS = tuple(f"{kind}_{k:03d}" for kind in ("vol", "area", "wl")
 DATASET_FIELDS = HULL_FIELDS + ("feasible",) + _CURVE_COLUMNS + GRID_COLUMNS
 
 
-def write_dataset_csv(records, path) -> None:
+def write_dataset_csv(table: HullTable, path) -> None:
+    values = iter(np.column_stack([table.vols, table.areas, table.wls,
+                                   table.rws.reshape(-1, len(GRID_COLUMNS))]))
     blank = [""] * (len(_CURVE_COLUMNS) + len(GRID_COLUMNS))
-
-    def rows():
-        for rec in records:
-            row = hull_to_row(rec.params)
-            if rec.feasible:
-                yield row + ["1", *rec.curves.vol, *rec.curves.area, *rec.curves.wl,
-                             *grid_to_row(rec.grid)]
-            else:
-                yield row + ["0"] + blank
-
-    write_csv(path, DATASET_FIELDS, rows())
+    write_csv(path, DATASET_FIELDS,
+              ([loa, *shape, "1", *next(values)] if feas else [loa, *shape, "0", *blank]
+               for loa, shape, feas in zip(table.loa, table.shapes, table.feasible)))
 
 
-def read_dataset_csv(path) -> list[HullRecord]:
-    """Records written by write_dataset_csv; a malformed row raises
+def read_dataset_csv(path) -> HullTable:
+    """The table written by write_dataset_csv; a malformed row raises
     RepresentationError naming the file and the line."""
-    records = []
+    nh, nc = len(HULL_FIELDS), DRAFT_MARKS.size
+    hulls, flags, values = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != DATASET_FIELDS:
             raise RepresentationError(f"unexpected dataset header in {path}")
-        nh = len(HULL_FIELDS)
-        nc = DRAFT_MARKS.size
         for row in reader:
             try:
                 if len(row) != len(DATASET_FIELDS):
                     raise ValueError(f"{len(row)} cells, expected {len(DATASET_FIELDS)}")
                 if row[nh] not in ("0", "1"):
                     raise ValueError(f"feasible flag {row[nh]!r}")
-                params = hull_from_row(row[:nh])
-                if row[nh] == "0":
-                    records.append(HullRecord(params, None, None, False))
-                    continue
-                vals = [float(v) for v in row[nh + 1:]]
+                hull = [float(v) for v in row[:nh]]
+                if not all(map(math.isfinite, hull)):
+                    raise ValueError("non-finite hull parameter")
+                if row[nh] == "1":   # an array, not a list: 8 bytes a value, not 32
+                    values.append(np.array([float(v) for v in row[nh + 1:]]))
             except ValueError as exc:
                 raise RepresentationError(
                     f"bad dataset row on line {reader.line_num} ({exc}): {path}") from None
-            vol = np.array(vals[:nc])
-            area = np.array(vals[nc:2 * nc])
-            wl = np.array(vals[2 * nc:3 * nc])
-            grid = grid_from_row(vals[3 * nc:])
-            curves = GeoCurves(vol, area, wl)
-            records.append(HullRecord(params, curves, grid, True))
-    return records
+            hulls.append(hull)
+            flags.append(row[nh] == "1")
+    hulls = np.array(hulls).reshape(-1, nh)
+    values = np.array(values).reshape(-1, len(DATASET_FIELDS) - nh - 1)
+    return HullTable(
+        loa=hulls[:, 0], shapes=hulls[:, 1:], feasible=np.array(flags, dtype=bool),
+        vols=values[:, :nc], areas=values[:, nc:2 * nc], wls=values[:, 2 * nc:3 * nc],
+        rws=values[:, 3 * nc:].reshape(-1, len(GRID_DRAFTS), len(GRID_FROUDE)))
 
 
 def write_meta(path, entries: dict) -> None:

@@ -432,12 +432,20 @@ def write_hull_csv(path, hulls) -> None:
 
 
 def read_hull_csv(path) -> list:
+    """The hulls of a CSV whose header starts with HULL_FIELDS; the columns
+    after them are checked for count only."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        if tuple(next(reader, ())) != HULL_FIELDS:
+        header = next(reader, [])
+        if tuple(header[:len(HULL_FIELDS)]) != HULL_FIELDS:
             raise RepresentationError(f"unexpected hull CSV header in {path}")
+        hulls = []
         try:
-            return [hull_from_row(row) for row in reader]
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, expected {len(header)}")
+                hulls.append(hull_from_row(row[:len(HULL_FIELDS)]))
         except ValueError as exc:
             raise RepresentationError(
                 f"bad hull row on line {reader.line_num} ({exc}): {path}") from None
+    return hulls

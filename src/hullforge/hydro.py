@@ -91,6 +91,7 @@ def ittc_line(reynolds):
     lg = np.log10(reynolds) - 2.0
     # lg * lg, not lg ** 2: a scalar's ** 2 calls pow() and an array's
     # multiplies, which differ in the last bit on about 0.06% of inputs
+    # (skin_friction and resistance_coefficient square the same way)
     return 0.075 / (lg * lg)
 
 
@@ -100,7 +101,8 @@ def skin_friction(speed, sa, wl, loa):
     Re uses the waterline length (not LOA) as its length scale.
     """
     reynolds = speed * wl * loa / WaterConstants.nu
-    return 0.5 * ittc_line(reynolds) * WaterConstants.rho * speed**2 * sa * loa**2
+    return (0.5 * ittc_line(reynolds) * WaterConstants.rho * (speed * speed) * sa
+            * (loa * loa))
 
 
 def friction_resistance(cond: FlowCondition, sa: float, wl: float) -> float:
@@ -114,7 +116,7 @@ def friction_resistance(cond: FlowCondition, sa: float, wl: float) -> float:
 
 def resistance_coefficient(total, speed, loa):
     """C_T = log10(R_T / (0.5 rho U^2 LOA^2)); array-capable."""
-    return np.log10(total / (0.5 * WaterConstants.rho * speed**2 * loa**2))
+    return np.log10(total / (0.5 * WaterConstants.rho * (speed * speed) * (loa * loa)))
 
 
 def _linexp_weights(h):
@@ -230,8 +232,9 @@ def michell_wave_resistance(slopes: SlopeField, cond, *,
     warnings and values are per condition, bit for bit those of separate
     calls.
 
-    The result is checked against the same integral on every other theta
-    node; disagreement above REFINEMENT_WARN raises a
+    The result is checked against the same integral on every other node of
+    the theta grid and of each tail block, each at its own spacing;
+    disagreement above REFINEMENT_WARN raises a
     QuadratureAccuracyWarning (the value is still returned).  The theta
     range is extended until its last block contributes less than 1e-6 of
     the running total.
@@ -257,22 +260,24 @@ def michell_wave_resistance(slopes: SlopeField, cond, *,
     theta = [_theta_grid(k, slopes.z, n_theta) for k in k0]
     vals = integrand(live, theta)
     dthe = [th[1] - th[0] for th in theta]
+    end = [th[-1] for th in theta]          # each grid starts at theta = 0
     total = [_simpson(v, d) for v, d in zip(vals, dthe)]
+    # the self-check's estimate: each piece on its every other node
+    coarse = [_simpson(v[::2], 2.0 * d) for v, d in zip(vals, dthe)]
 
     # extend the truncation until the marginal block is negligible
     for _ in range(6):
         if not live:
             break
-        ext = [np.linspace(theta[c][-1], theta[c][-1]
-                           + 0.25 * (theta[c][-1] - theta[c][0]), 33) for c in live]
+        ext = [np.linspace(end[c], end[c] + 0.25 * end[c], 33) for c in live]
         growing = []
         for c, th, ext_vals in zip(live, ext, integrand(live, ext)):
             block = _simpson(ext_vals, th[1] - th[0])
             if block <= TAIL_TOLERANCE * total[c]:   # a zero field ends at once
                 continue
-            theta[c] = np.concatenate([theta[c], th[1:]])
-            vals[c] = np.concatenate([vals[c], ext_vals[1:]])
+            end[c] = th[-1]
             total[c] += block
+            coarse[c] += _simpson(ext_vals[::2], 2.0 * (th[1] - th[0]))
             growing.append(c)
         live = growing
 
@@ -284,15 +289,10 @@ def michell_wave_resistance(slopes: SlopeField, cond, *,
         prefac = (MICHELL_PREFACTOR * WaterConstants.rho * WaterConstants.g**2
                   / (math.pi * cnd.speed**2))
         rw = prefac * total[c]
-
-        # self-check: same integrand on every other node
-        if vals[c].size >= 5 and vals[c].size % 2 == 1:
-            coarse = prefac * _simpson(vals[c][::2], 2.0 * dthe[c])
-            gap = abs(rw - coarse) / rw if rw > 0 else 0.0
-            if gap > REFINEMENT_WARN:
-                warnings.warn(
-                    f"Michell quadrature self-check disagrees by {gap:.1%}",
-                    QuadratureAccuracyWarning, stacklevel=2)
+        gap = abs(rw - prefac * coarse[c]) / rw if rw > 0 else 0.0
+        if gap > REFINEMENT_WARN:
+            warnings.warn(f"Michell quadrature self-check disagrees by {gap:.1%}",
+                          QuadratureAccuracyWarning, stacklevel=2)
         rws.append(rw)
     return rws[0] if single else np.array(rws)
 
@@ -355,11 +355,3 @@ GRID_COLUMNS = tuple(
     f"rw_{d:.2f}_{f:.2f}" for d in GRID_DRAFTS for f in GRID_FROUDE
 )
 
-
-def grid_to_row(grid: ResistanceGrid) -> list:
-    return [float(v) for v in grid.rw.ravel()]
-
-
-def grid_from_row(values) -> ResistanceGrid:
-    arr = np.asarray([float(v) for v in values], dtype=float)
-    return ResistanceGrid(rw=arr.reshape(len(GRID_DRAFTS), len(GRID_FROUDE)))

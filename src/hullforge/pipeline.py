@@ -8,7 +8,6 @@ nothing half-written.
 
 from __future__ import annotations
 
-import csv
 import fcntl
 import hashlib
 import math
@@ -34,8 +33,8 @@ from .diffusion import (ConditioningVector, GuidanceModels, NoiseSchedule,
 from .errors import ConfigurationError, DependencyError
 from .evaluate import (TOLERANCE_BANDS, audit_samples, audit_stats, compare,
                        fit_pca2, kde)
-from .geometry import (HULL_FIELDS, HullParams, hull_from_row, hull_to_row,
-                       read_hull_csv, write_csv, write_hull_csv)
+from .geometry import (HULL_FIELDS, HullParams, hull_to_row, read_hull_csv,
+                       write_csv, write_hull_csv)
 from .neural import (TrainConfig, accuracy, load_weights, r_squared,
                      save_weights, train_classifier, train_regressor)
 from .optimize import make_hull_problem, nsga2
@@ -156,12 +155,13 @@ def cmd_gen_dataset(cfg: PipelineConfig, out_dir) -> Path:
     out_dir = Path(out_dir)
     target = out_dir / "dataset"
     with _lock(out_dir), _atomic_dir(target) as tmp:
-        records = build_dataset(
+        table = build_dataset(
             cfg.n_hulls, cfg.seed, n_theta=cfg.theta_nodes,
             nx=cfg.plane_nx, nz=cfg.plane_nz,
             workers=cfg.workers)
-        normalizer = fit_normalizer(records, min_samples=min(64, cfg.n_hulls))
-        write_dataset_csv(records, tmp / "hulls.csv")
+        normalizer = fit_normalizer(table.shapes[table.feasible],
+                                    min_samples=min(64, cfg.n_hulls))
+        write_dataset_csv(table, tmp / "hulls.csv")
         save_normalizer(normalizer, tmp / "normalizer.txt")
         write_meta(tmp / "dataset.meta", {
             "seed": cfg.seed,
@@ -183,25 +183,22 @@ def _load_normalizer(out_dir: Path):
 
 def _load_dataset(out_dir: Path):
     normalizer = _load_normalizer(out_dir)
-    records = read_dataset_csv(_require(Path(out_dir) / "dataset" / "hulls.csv",
-                                        "gen-dataset"))
-    return records, normalizer
+    table = read_dataset_csv(_require(Path(out_dir) / "dataset" / "hulls.csv",
+                                      "gen-dataset"))
+    return table, normalizer
 
 
 def _schedule(cfg: PipelineConfig) -> NoiseSchedule:
     return linear_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
 
 
-def _split_records(records, holdout_fraction, seed):
-    feas = [r for r in records if r.feasible]
-    infeas = [r for r in records if not r.feasible]
+def _split_records(n_feasible: int, holdout_fraction, seed):
+    """Ascending (training, held-out) indices among the feasible rows: the
+    held-out ones are the first ``holdout_fraction`` of a permutation."""
     rng = np.random.default_rng(_seed_int(seed, 11))
-    n_hold = max(1, int(len(feas) * holdout_fraction))
-    order = rng.permutation(len(feas))
-    hold = {int(i) for i in order[:n_hold]}
-    train = [feas[i] for i in range(len(feas)) if i not in hold]
-    held = [feas[i] for i in sorted(hold)]
-    return train, held, infeas
+    n_hold = max(1, int(n_feasible * holdout_fraction))
+    held = np.sort(rng.permutation(n_feasible)[:n_hold])
+    return np.setdiff1d(np.arange(n_feasible), held), held
 
 
 @dataclass(frozen=True)
@@ -214,15 +211,15 @@ class _TrainJob:
                          # denoiser: stacked data, noise schedule
 
 
-def _train_jobs(cfg: PipelineConfig, which: str, records, normalizer) -> list[_TrainJob]:
+def _train_jobs(cfg: PipelineConfig, which: str, table, normalizer) -> list[_TrainJob]:
     """Every network of the ``which`` group with its inputs, longest first.
 
     The rows are drawn in one fixed order (resistance, then geometry from
     the same generator, then classifier), whatever order the jobs run in.
     """
-    train_rec, held_rec, infeas = _split_records(records, cfg.holdout_fraction,
-                                                 cfg.seed)
-    data = stack_records(train_rec, normalizer)
+    train_rows, held_rows = _split_records(int(table.feasible.sum()),
+                                           cfg.holdout_fraction, cfg.seed)
+    data = stack_records(table, train_rows, normalizer)
     jobs = []
 
     def add(name, tag, steps, *inputs):
@@ -232,7 +229,7 @@ def _train_jobs(cfg: PipelineConfig, which: str, records, normalizer) -> list[_T
         jobs.append(_TrainJob(name, tc, inputs))
 
     if which in ("regressors", "all"):
-        held = stack_records(held_rec, normalizer)
+        held = stack_records(table, held_rows, normalizer)
         rng = np.random.default_rng(_seed_int(cfg.seed, 21))
         n_rows = cfg.rows_per_hull * data.n
         n_held = min(8192, 32 * held.n)
@@ -248,7 +245,7 @@ def _train_jobs(cfg: PipelineConfig, which: str, records, normalizer) -> list[_T
 
     if which in ("classifier", "all"):
         add("classifier", 4, cfg.classifier_steps,
-            *classifier_rows(train_rec + infeas, normalizer))
+            *classifier_rows(table, train_rows, normalizer))
 
     if which in ("diffusion", "all"):
         add("denoiser", 5, cfg.diffusion_steps, data, _schedule(cfg))
@@ -450,19 +447,19 @@ def cmd_optimize(cfg: PipelineConfig, out_dir, case_name: str,
                  seed: int | None = None) -> Path:
     case = _case(cfg, case_name)
     out_dir = Path(out_dir)
-    records, normalizer = _load_dataset(out_dir)
+    table, normalizer = _load_dataset(out_dir)
     models = _load_models(out_dir, need=("resistance", "waterline"))
     seed = _seed_int(cfg.seed, 41, sorted(cfg.cases).index(case_name)) \
         if seed is None else seed
 
-    feas = [r.params.shape for r in records if r.feasible]
+    feas = table.shapes[table.feasible]
     if len(feas) < cfg.population:
         raise DependencyError(
             f"dataset has {len(feas)} feasible hulls; population needs "
             f"{cfg.population}")
     rng = np.random.default_rng(seed)
     pick = rng.choice(len(feas), cfg.population, replace=False)
-    initial = normalizer.normalize(np.array([feas[i] for i in pick]))
+    initial = normalizer.normalize(feas[pick])
 
     problem = make_hull_problem(case, models.resistance, models.waterline,
                                 normalizer)
@@ -491,21 +488,10 @@ def cmd_optimize(cfg: PipelineConfig, out_dir, case_name: str,
     return target
 
 
-def _read_sample_vectors(out_dir: Path, case_name: str, mode: str, normalizer):
-    path = _require(Path(out_dir) / "samples" / case_name / mode / "hulls.csv",
-                    f"sample --case {case_name} --mode {mode}")
-    return normalizer.normalize(np.array([h.shape for h in read_hull_csv(path)]))
-
-
-def _read_population_vectors(out_dir: Path, case_name: str, normalizer):
-    path = _require(Path(out_dir) / "optimize" / case_name / "population.csv",
-                    f"optimize --case {case_name}")
-    with open(path, newline="") as fh:   # hull columns, pred_rt, violation
-        reader = csv.reader(fh)
-        next(reader)
-        shapes = np.array([hull_from_row(row[:len(HULL_FIELDS)]).shape
-                           for row in reader])
-    return normalizer.normalize(shapes)
+def _read_vectors(path: Path, hint: str, normalizer):
+    """The normalized shapes of a hull CSV that ``hint`` writes."""
+    hulls = read_hull_csv(_require(path, hint))
+    return normalizer.normalize(np.array([h.shape for h in hulls]))
 
 
 def _pearson(a, b) -> float:
@@ -519,12 +505,15 @@ def _pearson(a, b) -> float:
 def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
     case = _case(cfg, case_name)
     out_dir = Path(out_dir)
-    records, normalizer = _load_dataset(out_dir)
+    table, normalizer = _load_dataset(out_dir)
     models = _load_models(out_dir, need=("resistance", "waterline"))
 
-    vectors = {mode: _read_sample_vectors(out_dir, case_name, mode, normalizer)
+    vectors = {mode: _read_vectors(out_dir / "samples" / case_name / mode / "hulls.csv",
+                                   f"sample --case {case_name} --mode {mode}",
+                                   normalizer)
                for mode in SAMPLE_MODES}
-    vectors["nsga2"] = _read_population_vectors(out_dir, case_name, normalizer)
+    vectors["nsga2"] = _read_vectors(out_dir / "optimize" / case_name / "population.csv",
+                                     f"optimize --case {case_name}", normalizer)
     arms = {arm: audit_samples(vec, case, models.resistance, models.waterline,
                                normalizer, n_theta=cfg.theta_nodes,
                                plane_nx=cfg.plane_nx, plane_nz=cfg.plane_nz)
@@ -577,8 +566,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
                   comparison_rows)
 
         # diversity view: PCA frame fitted on the training hulls only
-        train_norm = normalizer.normalize(
-            np.array([r.params.shape for r in records if r.feasible]))
+        train_norm = normalizer.normalize(table.shapes[table.feasible])
         pca = fit_pca2(train_norm)
         pca_rows = []
         for group, mat in (("dataset", train_norm), *vectors.items()):

@@ -56,22 +56,22 @@ def wedge_hull():
 
 
 @pytest.fixture(scope="session")
-def mini_records():
-    """A small but real dataset (64 feasible + 64 infeasible records)."""
+def mini_table():
+    """A small but real dataset (64 feasible + 64 infeasible rows)."""
     from hullforge.dataset import build_dataset
 
     return build_dataset(64, seed=2024, workers=2)
 
 
 @pytest.fixture(scope="session")
-def mini_normalizer(mini_records):
+def mini_normalizer(mini_table):
     from hullforge.dataset import fit_normalizer
 
-    return fit_normalizer(mini_records)
+    return fit_normalizer(mini_table.shapes[mini_table.feasible])
 
 
 @pytest.fixture(scope="session")
-def mini_stacked(mini_records, mini_normalizer):
+def mini_stacked(mini_table, mini_normalizer):
     from hullforge.dataset import stack_records
 
-    return stack_records(mini_records, mini_normalizer)
+    return stack_records(mini_table, np.arange(64), mini_normalizer)

@@ -155,12 +155,12 @@ def test_criterion_04_gradient_fidelity(desk):
 
 def test_criterion_05_surrogate_quality(desk):
     cfg, out = desk
-    records = read_dataset_csv(out / "dataset" / "hulls.csv")
+    table = read_dataset_csv(out / "dataset" / "hulls.csv")
     normalizer = load_normalizer(out / "dataset" / "normalizer.txt")
     models = _load_models(out)
-    _train, held, _infeas = _split_records(records, cfg.holdout_fraction,
-                                           cfg.seed)
-    held_stack = stack_records(held, normalizer)
+    _train, held = _split_records(int(table.feasible.sum()), cfg.holdout_fraction,
+                                  cfg.seed)
+    held_stack = stack_records(table, held, normalizer)
     xv, yv = resistance_rows(held_stack, np.random.default_rng(123), 8192)
     r2 = r_squared(models.resistance, xv, yv)
 

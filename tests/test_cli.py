@@ -285,6 +285,33 @@ def test_optimize_artifact_layout(tmp_path):
     assert all(float(row[-1]) >= 0.0 for row in population[1:])
 
 
+@pytest.mark.parametrize("cell, reason", [("abc", "could not convert"),
+                                          (None, "15 cells, expected 16")],
+                         ids=["non-numeric", "truncated"])
+def test_cli_evaluate_rejects_a_malformed_population(micro_models, tmp_path,
+                                                     capsys, cell, reason):
+    """The population is read as a hull CSV: a bad row is an `error:` line
+    naming the file, exit 1, not a traceback."""
+    cfg, out = micro_config(tmp_path), tmp_path / "out"
+    shutil.copytree(micro_models[1], out)
+    for mode in pipeline.SAMPLE_MODES:
+        assert main(["sample", "--case", "kayak", "--mode", mode,
+                     "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["optimize", "--case", "kayak", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    path = out / "optimize" / "kayak" / "population.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    lines[2] = ",".join([cell, *cells[1:]] if cell else cells[:-1])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--case", "kayak", "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad hull row on line 3")
+    assert reason in err and str(path) in err
+
+
 def test_cli_unknown_case_is_usage_error(tmp_path, capsys):
     cfg = micro_config(tmp_path)
     code = main(["optimize", "--case", "atlantis", "--config", str(cfg),

@@ -1,23 +1,31 @@
 import ctypes
+import importlib.util
 import math
 import multiprocessing
 import os
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hullforge.config import WaterConstants
-from hullforge.dataset import (DATASET_FIELDS, build_dataset,
+from hullforge.dataset import (DATASET_FIELDS, HullTable, build_dataset,
                                classifier_rows, fit_normalizer, geometry_rows,
                                load_normalizer, pool_map, read_dataset_csv, read_meta,
                                resistance_rows, sample_infeasible_vector,
                                sample_random_hull, save_normalizer,
                                write_dataset_csv, write_meta)
 from hullforge.errors import DomainError, GenerationError, RepresentationError
-from hullforge.geometry import HULL_FIELDS, validate
-from hullforge.hydro import grid_lookup
+from hullforge.geometry import HULL_FIELDS, HullParams, validate
+from hullforge.hydro import GRID_COLUMNS, grid_lookup
+from hullforge.pipeline import _split_records
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_checks", Path(__file__).resolve().parent.parent / "benchmark" / "checks.py")
+bench_checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_checks)
 
 
 def test_sample_random_hull_deterministic():
@@ -53,26 +61,23 @@ def test_infeasible_vectors_violate_and_cover_all_kinds():
             "bulb_tie"} <= kinds
 
 
-def test_build_dataset_counts_and_invariants(mini_records):
-    feas = [r for r in mini_records if r.feasible]
-    infeas = [r for r in mini_records if not r.feasible]
-    assert len(feas) == len(infeas) == 64
-    for rec in feas:
-        assert rec.curves is not None and rec.grid is not None
-        assert np.all(np.diff(rec.curves.vol) >= -1e-15)
-        assert np.all(np.diff(rec.curves.area) >= -1e-12)
-        assert np.all(rec.grid.rw >= 0)
-    for rec in infeas:
-        assert rec.curves is None and rec.grid is None
+def test_build_dataset_counts_and_invariants(mini_table):
+    t = mini_table
+    assert t.feasible.tolist() == [True] * 64 + [False] * 64
+    assert t.loa.shape == (128,) and t.shapes.shape == (128, 13)
+    assert t.vols.shape == t.areas.shape == t.wls.shape == (64, 100)
+    assert t.rws.shape == (64, 4, 8)
+    assert np.all(np.diff(t.vols, axis=1) >= -1e-15)
+    assert np.all(np.diff(t.areas, axis=1) >= -1e-12)
+    assert np.all(t.rws >= 0)
+    assert all(validate(HullParams(loa, s)).feasible == f
+               for loa, s, f in zip(t.loa, t.shapes, t.feasible))
 
 
 def test_build_dataset_schedule_independent():
     serial = build_dataset(6, seed=11, workers=1, n_theta=96, nx=128, nz=24)
     parallel = build_dataset(6, seed=11, workers=2, n_theta=96, nx=128, nz=24)
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.params.shape, b.params.shape)
-        if a.feasible:
-            assert np.array_equal(a.grid.rw, b.grid.rw)
+    assert _tables_equal(serial, parallel)
 
 
 def _openblas_threads(*_):
@@ -145,8 +150,8 @@ def test_build_dataset_rejects_bad_count():
 
 # -- normalizer ---------------------------------------------------------------
 
-def test_normalizer_fitted_sample_roundtrip(mini_records, mini_normalizer):
-    shapes = np.array([r.params.shape for r in mini_records if r.feasible])
+def test_normalizer_fitted_sample_roundtrip(mini_table, mini_normalizer):
+    shapes = mini_table.shapes[mini_table.feasible]
     back = mini_normalizer.denormalize(mini_normalizer.normalize(shapes))
     assert np.abs(back - shapes).max() < 1e-9
 
@@ -288,28 +293,63 @@ def test_geometry_rows_ranges(mini_stacked):
     assert np.all(wl > 0) and np.all(wl <= 1.0)
 
 
-def test_classifier_rows_balanced(mini_records, mini_normalizer):
-    x, y = classifier_rows(mini_records, mini_normalizer)
+def test_classifier_rows_balanced(mini_table, mini_normalizer):
+    x, y = classifier_rows(mini_table, np.arange(64), mini_normalizer)
     assert x.shape == (128, 13)
     assert y.sum() == 64
     assert np.all(np.abs(x) <= 1.0)
+    x, y = classifier_rows(mini_table, [5, 2], mini_normalizer)
+    assert y.tolist() == [1.0, 1.0] + [0.0] * 64
+    assert np.array_equal(x[:2], mini_normalizer.normalize(mini_table.shapes[[5, 2]]))
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 4096])
+def test_split_indices_match_the_benchmark_holdout(n):
+    """The held-out rows are the ones benchmark/checks.py recomputes on its own."""
+    train, held = _split_records(n, 0.125, 7)
+    assert held.tolist() == bench_checks.holdout_indices(n, 0.125, 7)
+    assert np.all(np.diff(train) > 0)
+    assert sorted([*train, *held]) == list(range(n))
 
 
 # -- serialization ------------------------------------------------------------
 
-def test_dataset_csv_roundtrip(tmp_path, mini_records):
+def _tables_equal(a: HullTable, b: HullTable) -> bool:
+    """Every array of the two tables equal bit for bit, dtype and shape too."""
+    return all(x.dtype == y.dtype and x.shape == y.shape
+               and x.tobytes() == y.tobytes()
+               for x, y in zip(vars(a).values(), vars(b).values()))
+
+
+def _take(table: HullTable, rows) -> HullTable:
+    """The table's rows ``rows``, in that order."""
+    rows = np.asarray(rows)
+    feas = (np.cumsum(table.feasible) - 1)[rows[table.feasible[rows]]]
+    return HullTable(table.loa[rows], table.shapes[rows], table.feasible[rows],
+                     table.vols[feas], table.areas[feas], table.wls[feas],
+                     table.rws[feas])
+
+
+def test_dataset_csv_roundtrip(tmp_path, mini_table):
     path = tmp_path / "hulls.csv"
-    write_dataset_csv(mini_records, path)
-    back = read_dataset_csv(path)
-    assert len(back) == len(mini_records)
-    for a, b in zip(mini_records, back):
-        assert a.feasible == b.feasible
-        assert np.array_equal(a.params.shape, b.params.shape)
-        if a.feasible:
-            assert np.array_equal(a.curves.vol, b.curves.vol)
-            assert np.array_equal(a.grid.rw, b.grid.rw)
+    write_dataset_csv(mini_table, path)
+    assert _tables_equal(read_dataset_csv(path), mini_table)
     with open(path) as fh:
         assert tuple(fh.readline().strip().split(",")) == DATASET_FIELDS
+    # the grid columns run over Froude numbers within each draft
+    assert len(GRID_COLUMNS) == 32
+    assert GRID_COLUMNS[0] == "rw_0.25_0.10" and GRID_COLUMNS[1] == "rw_0.25_0.15"
+    assert GRID_COLUMNS[-1] == "rw_0.67_0.45"
+
+
+def test_dataset_csv_reads_infeasible_rows_first(tmp_path, mini_table):
+    """The mask comes from each row's flag, not from the rows' order."""
+    path = tmp_path / "hulls.csv"
+    order = [*range(64, 128), *range(64)]
+    write_dataset_csv(_take(mini_table, order), path)
+    back = read_dataset_csv(path)
+    assert back.feasible.tolist() == [False] * 64 + [True] * 64
+    assert _tables_equal(_take(back, np.argsort(order)), mini_table)
 
 
 # Ways to break a feasible dataset row, given as its list of cells.
@@ -323,11 +363,11 @@ MALFORMED_ROWS = {
 
 
 @pytest.mark.parametrize("case", MALFORMED_ROWS)
-def test_dataset_csv_rejects_a_malformed_row(tmp_path, mini_records, case):
+def test_dataset_csv_rejects_a_malformed_row(tmp_path, mini_table, case):
     """Never numpy's or float()'s bare ValueError: the error names the
     line and the file."""
     path = tmp_path / "hulls.csv"
-    write_dataset_csv([next(r for r in mini_records if r.feasible)], path)
+    write_dataset_csv(_take(mini_table, [0]), path)
     header, row = path.read_text().splitlines()
     path.write_text(header + "\n" + ",".join(MALFORMED_ROWS[case](row.split(","))) + "\n")
     with pytest.raises(RepresentationError, match=r"line 2 .*hulls\.csv"):

@@ -9,13 +9,11 @@ from hullforge.errors import (DomainError, QuadratureAccuracyWarning,
                               SingularityError)
 from hullforge.geometry import (HullParams, SlopeField, centerplane_slopes,
                                 waterline_bounds)
-from hullforge.hydro import (GRID_COLUMNS, FlowCondition, ResistanceGrid,
-                             _linexp_weights, _wave_amplitude,
-                             friction_resistance, froude_speed, grid_from_row,
-                             grid_lookup, grid_to_row, ittc_line,
-                             michell_wave_resistance,
+from hullforge.hydro import (FlowCondition, _linexp_weights, _wave_amplitude,
+                             friction_resistance, froude_speed, grid_lookup,
+                             ittc_line, michell_wave_resistance,
                              predicted_total_resistance, resistance_coefficient,
-                             resistance_grid)
+                             resistance_grid, skin_friction)
 from conftest import make_hull
 
 
@@ -43,6 +41,21 @@ def test_ittc_scalar_matches_array():
     """One formula for scalars and arrays: no last-bit fork between them."""
     for re in 10.0 ** np.random.default_rng(8).uniform(3.0, 10.0, 20000):
         assert ittc_line(float(re)) == ittc_line(np.array([re]))[0]
+
+
+def test_friction_and_coefficient_scalar_match_array():
+    """A scalar call is the one-element array call, bit for bit: the
+    squares of speed and LOA multiply for both."""
+    rng = np.random.default_rng(9)
+    for speed, loa, sa, wl in zip(rng.uniform(0.1, 20.0, 5000),
+                                  10.0 ** rng.uniform(0.47, 2.65, 5000),
+                                  rng.uniform(0.05, 0.5, 5000),
+                                  rng.uniform(0.3, 1.0, 5000)):
+        rf = skin_friction(float(speed), float(sa), float(wl), float(loa))
+        assert rf == skin_friction(np.array([speed]), sa, wl, loa)[0]
+        assert (resistance_coefficient(2.0 * rf, float(speed), float(loa))
+                == resistance_coefficient(np.array([2.0 * rf]), np.array([speed]),
+                                          np.array([loa]))[0])
 
 
 def test_ittc_singularity():
@@ -148,6 +161,26 @@ def test_michell_condition_sequence_matches_single_calls(reference_hull, nx, nz,
     assert np.array_equal(stacked, one)
     assert stacked_warned == one_warned
     assert one_warned >= (tail_tolerance is not None)
+
+
+def test_michell_self_check_spaces_each_tail_block_by_its_own_step(reference_hull,
+                                                                   monkeypatch):
+    """A field whose theta tail grows: every other node of the main grid and
+    of each 33-node tail block (6x the main spacing here) gives a coarse
+    estimate within 1e-6; spacing the tail blocks' nodes as the main grid's
+    would put it near 1e-4 and warn at the 1e-5 set here."""
+    from hullforge import hydro
+
+    calls = []
+    monkeypatch.setattr(hydro, "_wave_amplitude",
+                        lambda *a: calls.append(1) or _wave_amplitude(*a))
+    monkeypatch.setattr(hydro, "REFINEMENT_WARN", 1e-5)
+    field = centerplane_slopes(HullParams(1.0, reference_hull.shape), 0.5, 512, 48)
+    cond = FlowCondition(speed=0.3 * froude_speed(1.0, 1.0), loa=1.0, tstar=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureAccuracyWarning)
+        assert michell_wave_resistance(field, cond, n_theta=768) > 0
+    assert len(calls) >= 3   # the main grid, a grown block, a last block
 
 
 def test_michell_empty_condition_sequence(wedge_hull):
@@ -303,17 +336,6 @@ def test_ct_scale_and_inverse():
     ten = resistance_coefficient(1234.0 + 5678.0, speed, loa)
     assert resistance_coefficient(12340.0 + 56780.0, speed, loa) == pytest.approx(
         ten + 1.0, rel=1e-12)
-
-
-def test_grid_csv_row_roundtrip():
-    rw = np.linspace(0.1, 3.2, 32).reshape(4, 8)
-    grid = ResistanceGrid(rw=rw)
-    row = grid_to_row(grid)
-    assert len(row) == len(GRID_COLUMNS) == 32
-    assert GRID_COLUMNS[0] == "rw_0.25_0.10"
-    assert GRID_COLUMNS[-1] == "rw_0.67_0.45"
-    back = grid_from_row(row)
-    assert np.array_equal(back.rw, rw)
 
 
 def test_flow_condition_validation():
