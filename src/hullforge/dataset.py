@@ -183,7 +183,7 @@ def _build_one(args):
         warnings.simplefilter("ignore")
         curves = measure_curves(params)
         grid = resistance_grid(params, n_theta=n_theta, nx=nx, nz=nz)
-    return params, curves, grid.rw
+    return params, curves, grid
 
 
 def build_dataset(n: int, seed: int, *, n_theta: int = THETA_NODES,

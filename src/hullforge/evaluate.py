@@ -49,29 +49,39 @@ def volume_error_fraction(feasibility_rate: float, mean: float, std: float) -> f
 
 
 @dataclass(frozen=True)
-class SampleAudit:
-    """Per-hull audit record; error fields are None for infeasible hulls."""
+class AuditTable:
+    """The audits of a batch, on HullTable's convention.
 
-    feasible: bool
-    vol_err: float | None = None
-    beam_err: float | None = None
-    depth_err: float | None = None
-    surrogate_rt: float | None = None
-    simulated_rt: float | None = None
+    ``feasible`` covers every hull in input order; the other columns cover
+    the feasible hulls only, in row order.
+    """
+
+    feasible: np.ndarray        # (n,) bool
+    vol_err: np.ndarray         # (n_feasible,)
+    beam_err: np.ndarray
+    depth_err: np.ndarray
+    surrogate_rt: np.ndarray
+    simulated_rt: np.ndarray
+
+
+AUDIT_COLUMNS = ("vol_err", "beam_err", "depth_err", "surrogate_rt", "simulated_rt")
 
 
 def audit_one(shape_norm, case: TestCase, resistance: MlpModel,
               waterline: MlpModel, normalizer, *, n_theta: int = THETA_NODES,
-              plane_nx: int = PLANE_NX, plane_nz: int = PLANE_NZ) -> SampleAudit:
-    """Validate, measure, and re-simulate a single normalized design vector."""
+              plane_nx: int = PLANE_NX, plane_nz: int = PLANE_NZ):
+    """Validate, measure, and re-simulate a single normalized design vector.
+
+    Returns the AUDIT_COLUMNS values, or None for an infeasible hull.
+    """
     shape = normalizer.denormalize(np.asarray(shape_norm, dtype=float))
     params = HullParams(case.loa, shape)
     if not validate(params).feasible:
-        return SampleAudit(feasible=False)
+        return None
     depth = shape[1] * case.loa
     tstar = case.draft / depth
     if tstar > 1.0:   # the target draft cannot submerge past the deck
-        return SampleAudit(feasible=False)
+        return None
 
     vol, sa, wl = measure_at(params, tstar)
     vol_err = (vol * case.loa**3 - case.volume) / case.volume
@@ -88,38 +98,39 @@ def audit_one(shape_norm, case: TestCase, resistance: MlpModel,
 
     surrogate = surrogate_total_resistance(resistance, waterline, shape_norm,
                                            tstar, case.speed, case.loa)
-    return SampleAudit(True, float(vol_err), float(beam_err), float(depth_err),
-                       float(surrogate), float(simulated))
+    return vol_err, beam_err, depth_err, surrogate, simulated
 
 
 def audit_samples(shapes_norm, case: TestCase, resistance: MlpModel,
-                  waterline: MlpModel, normalizer, **kw) -> list:
+                  waterline: MlpModel, normalizer, **kw) -> AuditTable:
     """Audit a batch of normalized design vectors.
 
     A hull the geometry or physics rejects (domain, feasibility or
     representation error) is recorded as infeasible; any other exception
     is a bug and propagates.
     """
-    out = []
+    audits = []
     for row in np.atleast_2d(np.asarray(shapes_norm, dtype=float)):
         try:
-            out.append(audit_one(row, case, resistance, waterline, normalizer, **kw))
+            audits.append(audit_one(row, case, resistance, waterline, normalizer, **kw))
         except (DomainError, FeasibilityError, RepresentationError):
-            out.append(SampleAudit(feasible=False))
-    return out
+            audits.append(None)
+    values = np.array([a for a in audits if a is not None], dtype=float)
+    return AuditTable(np.array([a is not None for a in audits], dtype=bool),
+                      *values.reshape(-1, len(AUDIT_COLUMNS)).T.copy())
 
 
-def audit_stats(audits) -> dict:
-    """Feasibility rate, error moments, and the in-band volume fraction."""
-    n = len(audits)
-    feas = [a for a in audits if a.feasible]
-    rate = len(feas) / n if n else 0.0
+def audit_stats(audits: AuditTable) -> dict:
+    """Feasibility rate, error moments, and the in-band volume fraction, in
+    the column order of the evaluation summary."""
+    n = audits.feasible.size
+    rate = audits.vol_err.size / n if n else 0.0
     stats = {"n": n, "feasibility_rate": rate}
     for name in ("vol_err", "beam_err", "depth_err"):
-        vals = np.array([getattr(a, name) for a in feas], dtype=float)
+        vals = getattr(audits, name)
         stats[f"{name}_mean"] = float(vals.mean()) if vals.size else math.nan
         stats[f"{name}_std"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-    if feas:
+    if audits.vol_err.size:
         stats["volume_in_band"] = volume_error_fraction(
             rate, stats["vol_err_mean"], stats["vol_err_std"])
     else:
@@ -197,27 +208,24 @@ class ComparisonReport:
     n_feasible: int
 
 
-def compare(audits_sampled, audits_nsga) -> ComparisonReport:
+def compare(sampled: AuditTable, nsga: AuditTable) -> ComparisonReport:
     """Count sampled hulls with simulated R_T below the optimizer minimum,
     per volume-error tolerance band.
 
     An optimizer population with no feasible audit has minimum inf: every
     feasible in-band sample beats it, and ``delta_rt`` is None.
     """
-    if not audits_nsga or not audits_sampled:
+    if not nsga.feasible.size or not sampled.feasible.size:
         raise DomainError("comparison needs non-empty audit sets")
-    nsga_min = min((a.simulated_rt for a in audits_nsga if a.feasible),
-                   default=math.inf)
+    nsga_min = float(nsga.simulated_rt.min()) if nsga.simulated_rt.size else math.inf
 
-    feas = [a for a in audits_sampled if a.feasible]
-    counts = {}
-    for tol in TOLERANCE_BANDS:
-        inside = [a for a in feas if abs(a.vol_err) <= tol]
-        counts[tol] = sum(1 for a in inside if a.simulated_rt < nsga_min)
-    in_band = [a.simulated_rt for a in feas if abs(a.vol_err) <= VOLUME_BAND]
-    sample_min = min(in_band) if in_band else None
+    err, rt = np.abs(sampled.vol_err), sampled.simulated_rt
+    counts = {tol: int(np.count_nonzero((err <= tol) & (rt < nsga_min)))
+              for tol in TOLERANCE_BANDS}
+    in_band = rt[err <= VOLUME_BAND]
+    sample_min = float(in_band.min()) if in_band.size else None
     delta = (None if sample_min is None or math.isinf(nsga_min)
              else (sample_min - nsga_min) / nsga_min)
-    return ComparisonReport(nsga_min_rt=float(nsga_min), counts=counts,
+    return ComparisonReport(nsga_min_rt=nsga_min, counts=counts,
                             sample_min_rt=sample_min, delta_rt=delta,
-                            n_feasible=len(feas))
+                            n_feasible=rt.size)

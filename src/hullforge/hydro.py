@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -57,25 +56,6 @@ class FlowCondition:
             raise DomainError("speed must be non-negative")
         if not 0.0 < self.tstar <= 1.0:
             raise DomainError("draft ratio must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class ResistanceGrid:
-    """Wave resistance (N) on the 4 draft x 8 Froude grid, at LOA = 1 m.
-
-    Values rescale to any length by Froude similitude: R_w(LOA) =
-    rw * LOA^3 at equal Froude number.
-    """
-
-    rw: np.ndarray
-    drafts: ClassVar[tuple] = GRID_DRAFTS
-    froude: ClassVar[tuple] = GRID_FROUDE
-
-    def __post_init__(self):
-        arr = np.asarray(self.rw, dtype=float)
-        if arr.shape != (len(self.drafts), len(self.froude)):
-            raise DomainError(f"grid must be {len(self.drafts)}x{len(self.froude)}")
-        object.__setattr__(self, "rw", arr)
 
 
 def froude_speed(wl, loa):
@@ -119,19 +99,21 @@ def resistance_coefficient(total, speed, loa):
     return np.log10(total / (0.5 * WaterConstants.rho * (speed * speed) * (loa * loa)))
 
 
-def _linexp_weights(h):
-    """Weights (A, B) with  int_0^1 (f0 (1-s) + f1 s) e^{h s} ds = f0 A + f1 B.
+def _linexp_weights(h, lo, hi):
+    """Weights (A, B) with  int_0^1 (f0 (1-s) + f1 s) lo e^{h s} ds = f0 A + f1 B,
+    where hi = lo e^h.
 
-    h may be complex.  Series fallback keeps small-|h| cells stable.
+    h may be complex; lo and hi are the exponentials at the cell ends, which
+    the caller already holds.  Series fallback keeps small-|h| cells stable.
     """
     h = np.asarray(h)
     small = np.abs(h) < 1e-5
     hs = np.where(small, 1.0, h)
-    eh = np.exp(hs)
-    a = (eh - 1.0 - hs) / hs**2
-    b = (hs * eh - eh + 1.0) / hs**2
-    a = np.where(small, 0.5 + h / 6.0 + h * h / 24.0, a)
-    b = np.where(small, 0.5 + h / 3.0 + h * h / 8.0, b)
+    a = (hi - lo - hs * lo) / hs**2
+    b = (hs * hi - hi + lo) / hs**2
+    if small.any():   # only far above design speeds: skip two full-size wheres
+        a = np.where(small, (0.5 + h / 6.0 + h * h / 24.0) * lo, a)
+        b = np.where(small, (0.5 + h / 3.0 + h * h / 8.0) * lo, b)
     return a, b
 
 
@@ -161,16 +143,7 @@ def _wave_amplitude(slopes: SlopeField, k0, lam: np.ndarray) -> np.ndarray:
     np.cumprod(np.broadcast_to(decay, (lam.size, z.size - 1)), axis=1,
                out=ez[:, 1:])
     ez = ez[:, ::-1]                                           # z ascending
-    lo, hi = ez[:, :-1], ez[:, 1:]
-    # large-|h| weights everywhere, then the series on the few small-|h| rows
-    small = np.flatnonzero(np.abs(h[:, 0]) < 1e-5)
-    hs = h.copy()
-    hs[small] = 1.0
-    a_lo = (hi - lo - hs * lo) / hs**2
-    b_lo = (hs * hi - hi + lo) / hs**2
-    hm = h[small]
-    a_lo[small] = (0.5 + hm / 6.0 + hm * hm / 24.0) * lo[small]
-    b_lo[small] = (0.5 + hm / 3.0 + hm * hm / 8.0) * lo[small]
+    a_lo, b_lo = _linexp_weights(h, ez[:, :-1], ez[:, 1:])
     wz = np.zeros((lam.size, z.size))
     wz[:, :-1] += dz * a_lo
     wz[:, 1:] += dz * b_lo
@@ -200,7 +173,7 @@ def _wave_amplitude(slopes: SlopeField, k0, lam: np.ndarray) -> np.ndarray:
              @ np.stack([inner.real, inner.imag], axis=2))     # (nlam, nblock, 2)
     total = np.einsum("la,la->l", parts[..., 0] + 1j * parts[..., 1], outer)
     last = outer[:, (n - 1) // PHASE_BLOCK] * inner[:, (n - 1) % PHASE_BLOCK]
-    ax, bx = _linexp_weights(1j * mu * dx)
+    ax, bx = _linexp_weights(1j * mu * dx, 1.0, step)
     return dx * np.exp(1j * mu * x[0]) * (ax * (total - last * g[:, n - 1])
                                           + bx * (total - g[:, 0]) / step)
 
@@ -298,15 +271,15 @@ def michell_wave_resistance(slopes: SlopeField, cond, *,
 
 
 def resistance_grid(params: HullParams, *, n_theta: int = THETA_NODES,
-                    nx: int = PLANE_NX, nz: int = PLANE_NZ) -> ResistanceGrid:
-    """Evaluate the Michell integral on the 4x8 (draft, Froude) grid.
+                    nx: int = PLANE_NX, nz: int = PLANE_NZ) -> np.ndarray:
+    """Wave resistance (N) on the (GRID_DRAFTS, GRID_FROUDE) grid, (4, 8).
 
-    The grid is computed at a reference LOA of 1 m; see ResistanceGrid for
-    the similitude rescaling.  Speeds at each node come from the hull's own
-    waterline length at that draft.  Each draft makes one Michell call per
-    slope field: the nodes below Fn 0.125 share a field refined along x and
-    z (short waves, and a thin exponential decay layer), the rest share
-    the plain field.
+    The grid is computed at a reference LOA of 1 m; values rescale to any
+    length by Froude similitude, R_w(LOA) = rw * LOA^3 at equal Froude
+    number.  Speeds at each node come from the hull's own waterline length
+    at that draft.  Each draft makes one Michell call per slope field: the
+    nodes below Fn 0.125 share a field refined along x and z (short waves,
+    and a thin exponential decay layer), the rest share the plain field.
     """
     ref = HullParams(1.0, params.shape)
     low = np.asarray(GRID_FROUDE) < 0.125
@@ -321,7 +294,7 @@ def resistance_grid(params: HullParams, *, n_theta: int = THETA_NODES,
         for field, nodes in ((fine, low), (slopes, ~low)):
             rw[i, nodes] = michell_wave_resistance(
                 field, [c for c, on in zip(conds, nodes) if on], n_theta=n_theta)
-    return ResistanceGrid(rw=rw)
+    return rw
 
 
 def grid_lookup(rws: np.ndarray, idx, tstar, fn):
@@ -348,7 +321,8 @@ def grid_lookup(rws: np.ndarray, idx, tstar, fn):
 
 def predicted_total_resistance(c_t: float, cond: FlowCondition) -> float:
     """Inverse of the coefficient scale: R_T = 10^{C_T} * 0.5 rho U^2 LOA^2."""
-    return 10.0**c_t * 0.5 * WaterConstants.rho * cond.speed**2 * cond.loa**2
+    return (10.0**c_t * 0.5 * WaterConstants.rho * (cond.speed * cond.speed)
+            * (cond.loa * cond.loa))
 
 
 GRID_COLUMNS = tuple(

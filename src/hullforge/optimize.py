@@ -125,11 +125,11 @@ def sbx_crossover(x1, x2, lower, upper, rng):
     return c1, c2
 
 
-def polynomial_mutation(x, lower, upper, rng, prob=None):
-    """Deb's polynomial mutation with boundary-aware perturbation."""
+def polynomial_mutation(x, lower, upper, rng):
+    """Deb's polynomial mutation with boundary-aware perturbation; each gene
+    mutates with probability 1 / x.size."""
     y = x.copy()
-    if prob is None:
-        prob = 1.0 / x.size
+    prob = 1.0 / x.size
     for i in range(x.size):
         if rng.random() > prob:
             continue

@@ -31,8 +31,8 @@ from .diffusion import (ConditioningVector, GuidanceModels, NoiseSchedule,
                         linear_schedule, load_denoiser, sample_guided,
                         save_denoiser, train_diffusion)
 from .errors import ConfigurationError, DependencyError
-from .evaluate import (TOLERANCE_BANDS, audit_samples, audit_stats, compare,
-                       fit_pca2, kde)
+from .evaluate import (AUDIT_COLUMNS, TOLERANCE_BANDS, audit_samples,
+                       audit_stats, compare, fit_pca2, kde)
 from .geometry import (HULL_FIELDS, HullParams, hull_to_row, read_hull_csv,
                        write_csv, write_hull_csv)
 from .neural import (TrainConfig, accuracy, load_weights, r_squared,
@@ -518,33 +518,20 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
                                normalizer, n_theta=cfg.theta_nodes,
                                plane_nx=cfg.plane_nx, plane_nz=cfg.plane_nz)
             for arm, vec in vectors.items()}
-    nsga_audits = arms["nsga2"]
+    nsga = arms["nsga2"]
 
     target = out_dir / "evaluate" / case_name
     with _lock(out_dir), _atomic_dir(target) as tmp:
-        audit_header = ("feasible", "vol_err", "beam_err", "depth_err",
-                        "surrogate_rt", "simulated_rt")
-
-        def audit_rows(audits):
-            for a in audits:
-                if a.feasible:
-                    yield (1, a.vol_err, a.beam_err, a.depth_err,
-                           a.surrogate_rt, a.simulated_rt)
-                else:
-                    yield (0, "", "", "", "", "")
-
+        blank = [""] * len(AUDIT_COLUMNS)
         summary_rows = []
         for mode, audits in arms.items():
-            write_csv(tmp / f"audit_{mode}.csv", audit_header, audit_rows(audits))
-            stats = audit_stats(audits)
-            summary_rows.append((mode, stats["n"], stats["feasibility_rate"],
-                                 stats["vol_err_mean"], stats["vol_err_std"],
-                                 stats["beam_err_mean"], stats["beam_err_std"],
-                                 stats["depth_err_mean"], stats["depth_err_std"],
-                                 stats["volume_in_band"]))
-            feas = [a for a in audits if a.feasible]
-            if len(feas) >= 2:
-                grid, density = kde([a.simulated_rt for a in feas])
+            values = iter(np.column_stack([getattr(audits, c) for c in AUDIT_COLUMNS]))
+            write_csv(tmp / f"audit_{mode}.csv", ("feasible", *AUDIT_COLUMNS),
+                      ([1, *next(values)] if feas else [0, *blank]
+                       for feas in audits.feasible))
+            summary_rows.append((mode, *audit_stats(audits).values()))
+            if audits.simulated_rt.size >= 2:
+                grid, density = kde(audits.simulated_rt)
                 write_csv(tmp / f"kde_{mode}.csv", ("rt", "density"),
                           zip(grid.tolist(), density.tolist()))
         write_csv(tmp / "summary.csv",
@@ -554,7 +541,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
 
         comparison_rows = []
         for mode in SAMPLE_MODES:
-            report = compare(arms[mode], nsga_audits)
+            report = compare(arms[mode], nsga)
             comparison_rows.append(
                 (mode, report.nsga_min_rt,
                  *[report.counts[t] for t in TOLERANCE_BANDS],
@@ -565,7 +552,8 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
                    "n_low_rt_10pct", "sample_min_rt_5pct", "delta_rt"),
                   comparison_rows)
 
-        # diversity view: PCA frame fitted on the training hulls only
+        # diversity view: PCA frame fitted on every feasible dataset hull,
+        # the held-out ones included
         train_norm = normalizer.normalize(table.shapes[table.feasible])
         pca = fit_pca2(train_norm)
         pca_rows = []
@@ -576,15 +564,13 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
 
         # surrogate-exploitation observables
         ratios = {}
-        feas_idx = [i for i, a in enumerate(nsga_audits) if a.feasible]
-        if feas_idx:
-            best = min(feas_idx, key=lambda i: nsga_audits[i].simulated_rt)
-            a = nsga_audits[best]
-            ratios["nsga_best_sim_over_surrogate"] = a.simulated_rt / a.surrogate_rt
+        if nsga.simulated_rt.size:
+            best = np.argmin(nsga.simulated_rt)
+            ratios["nsga_best_sim_over_surrogate"] = float(
+                nsga.simulated_rt[best] / nsga.surrogate_rt[best])
         for mode in SAMPLE_MODES:
-            feas = [a for a in arms[mode] if a.feasible]
-            ratios[f"corr_{mode}"] = _pearson([a.surrogate_rt for a in feas],
-                                              [a.simulated_rt for a in feas])
+            ratios[f"corr_{mode}"] = _pearson(arms[mode].surrogate_rt,
+                                              arms[mode].simulated_rt)
         write_meta(tmp / "exploitation.meta", ratios)
         _write_manifest(tmp, cfg, f"evaluate:{case_name}", {})
     return target

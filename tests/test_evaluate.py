@@ -5,7 +5,7 @@ import pytest
 
 from hullforge.config import TestCase
 from hullforge.errors import DegeneracyError, DomainError
-from hullforge.evaluate import (SampleAudit, audit_one,
+from hullforge.evaluate import (AUDIT_COLUMNS, AuditTable, audit_one,
                                 audit_samples, audit_stats, compare, fit_pca2,
                                 kde, volume_error_fraction)
 from hullforge.geometry import measure_at
@@ -145,12 +145,13 @@ def test_audit_exact_targets(audit_env):
     x = normalizer.normalize(hull.shape)
     audit = audit_one(x, case, resistance, waterline, normalizer,
                       n_theta=128, plane_nx=128, plane_nz=24)
-    assert audit.feasible
+    assert audit is not None
+    vol_err, beam_err, _depth_err, surrogate_rt, simulated_rt = audit
     # denormalize(normalize(.)) reproduces the hull up to quantile-grid
     # granularity; the exact-volume target makes vol_err pure arithmetic
-    assert audit.vol_err == pytest.approx(0.0, abs=0.02)
-    assert audit.beam_err == pytest.approx(0.0, abs=0.01)
-    assert audit.simulated_rt > 0 and audit.surrogate_rt > 0
+    assert vol_err == pytest.approx(0.0, abs=0.02)
+    assert beam_err == pytest.approx(0.0, abs=0.01)
+    assert simulated_rt > 0 and surrogate_rt > 0
 
 
 def test_audit_volume_error_is_relative(audit_env):
@@ -158,9 +159,9 @@ def test_audit_volume_error_is_relative(audit_env):
     hull = make_hull(40.0)
     case = _case_for(hull, volume_scale=1.0 / 1.1)
     x = normalizer.normalize(hull.shape)
-    audit = audit_one(x, case, resistance, waterline, normalizer,
-                      n_theta=128, plane_nx=128, plane_nz=24)
-    assert audit.vol_err == pytest.approx(0.1, abs=0.025)
+    vol_err = audit_one(x, case, resistance, waterline, normalizer,
+                        n_theta=128, plane_nx=128, plane_nz=24)[0]
+    assert vol_err == pytest.approx(0.1, abs=0.025)
 
 
 def test_audit_flags_infeasible(audit_env):
@@ -170,9 +171,25 @@ def test_audit_flags_infeasible(audit_env):
                                       normalizer.normalize(make_hull(40.0).shape)]),
                            _case_for(make_hull(40.0)), resistance, waterline,
                            normalizer, n_theta=96, plane_nx=96, plane_nz=24)
-    assert len(audits) == 2
-    assert not audits[0].feasible and audits[0].vol_err is None
-    assert audits[1].feasible
+    assert audits.feasible.tolist() == [False, True]
+    assert all(getattr(audits, c).shape == (1,) for c in AUDIT_COLUMNS)
+
+
+def test_audit_table_columns_cover_the_feasible_rows_in_order(audit_env):
+    normalizer, resistance, waterline = audit_env
+    bad = normalizer.normalize(make_hull(40.0, run_frac=0.6, entrance_frac=0.6).shape)
+    good = [normalizer.normalize(make_hull(40.0, beam_ratio=b).shape)
+            for b in (0.22, 0.26, 0.30)]
+    rows = np.vstack([bad, good[0], bad, good[1], good[2], bad])
+    case = _case_for(make_hull(40.0))
+    kw = dict(n_theta=32, plane_nx=32, plane_nz=8)
+    audits = audit_samples(rows, case, resistance, waterline, normalizer, **kw)
+    assert audits.feasible.tolist() == [False, True, False, True, True, False]
+    want = np.array([audit_one(x, case, resistance, waterline, normalizer, **kw)
+                     for x in good])
+    for j, name in enumerate(AUDIT_COLUMNS):
+        assert np.array_equal(getattr(audits, name), want[:, j])
+    assert len(set(audits.beam_err)) == 3
 
 
 def test_audit_samples_propagates_bugs(audit_env):
@@ -198,14 +215,20 @@ def test_optimizer_and_audit_share_the_surrogate(audit_env):
                                            normalizer)
     audit = audit_one(x, case, resistance, waterline, normalizer,
                       n_theta=32, plane_nx=32, plane_nz=8)
-    assert audit.feasible
-    assert objs[0] == audit.surrogate_rt
+    assert audit is not None
+    assert objs[0] == audit[AUDIT_COLUMNS.index("surrogate_rt")]
+
+
+def _table(feasible, rows):
+    """An AuditTable from the feasibility mask and the feasible rows'
+    AUDIT_COLUMNS values."""
+    values = np.array(rows, dtype=float).reshape(-1, len(AUDIT_COLUMNS))
+    return AuditTable(np.array(feasible, dtype=bool), *values.T)
 
 
 def test_audit_stats_and_band(audit_env):
-    audits = [SampleAudit(True, 0.01, 0.0, 0.0, 1.0, 1.0),
-              SampleAudit(True, -0.03, 0.01, 0.0, 1.0, 1.2),
-              SampleAudit(False)]
+    audits = _table([True, True, False], [(0.01, 0.0, 0.0, 1.0, 1.0),
+                                          (-0.03, 0.01, 0.0, 1.0, 1.2)])
     stats = audit_stats(audits)
     assert stats["n"] == 3
     assert stats["feasibility_rate"] == pytest.approx(2 / 3)
@@ -213,22 +236,23 @@ def test_audit_stats_and_band(audit_env):
     assert 0.0 <= stats["volume_in_band"] <= stats["feasibility_rate"]
 
 
-def _audit(rt, vol_err=0.0, feasible=True):
-    return SampleAudit(feasible, vol_err if feasible else None, 0.0, 0.0,
-                       rt, rt)
+def _audits(*hulls):
+    """An AuditTable from (rt, vol_err) pairs, None for an infeasible hull."""
+    return _table([h is not None for h in hulls],
+                  [(vol_err, 0.0, 0.0, rt, rt) for rt, vol_err in filter(None, hulls)])
 
 
 def test_compare_identical_sets_zero_counts():
-    audits = [_audit(5.0), _audit(6.0), _audit(7.0)]
+    audits = _audits((5.0, 0.0), (6.0, 0.0), (7.0, 0.0))
     report = compare(audits, audits)
     assert report.counts == {0.01: 0, 0.05: 0, 0.10: 0}
     assert report.delta_rt == pytest.approx(0.0)
 
 
 def test_compare_hand_enumeration():
-    nsga = [_audit(10.0), _audit(12.0)]
-    sampled = [_audit(9.0, 0.005), _audit(8.0, 0.04), _audit(7.0, 0.08),
-               _audit(11.0, 0.0), _audit(6.0, 0.2), _audit(5.0, feasible=False)]
+    nsga = _audits((10.0, 0.0), (12.0, 0.0))
+    sampled = _audits((9.0, 0.005), (8.0, 0.04), (7.0, 0.08), (11.0, 0.0),
+                      (6.0, 0.2), None)
     report = compare(sampled, nsga)
     # enumerate by hand: below 10.0 and inside each band
     assert report.nsga_min_rt == 10.0
@@ -242,17 +266,16 @@ def test_compare_hand_enumeration():
 
 def test_compare_needs_data():
     with pytest.raises(DomainError):
-        compare([], [_audit(1.0)])
+        compare(_audits(), _audits((1.0, 0.0)))
     with pytest.raises(DomainError):
-        compare([_audit(1.0)], [])
+        compare(_audits((1.0, 0.0)), _audits())
 
 
 def test_compare_without_feasible_nsga_hull():
     """An optimizer population with no feasible audit loses to every
     feasible in-band sample; there is no relative gap to report."""
-    sampled = [_audit(9.0, 0.005), _audit(8.0, 0.04), _audit(7.0, 0.08),
-               _audit(6.0, 0.2), _audit(5.0, feasible=False)]
-    report = compare(sampled, [SampleAudit(False), SampleAudit(False)])
+    sampled = _audits((9.0, 0.005), (8.0, 0.04), (7.0, 0.08), (6.0, 0.2), None)
+    report = compare(sampled, _audits(None, None))
     assert report.nsga_min_rt == math.inf
     assert report.counts == {0.01: 1, 0.05: 2, 0.10: 3}
     assert report.sample_min_rt == 8.0

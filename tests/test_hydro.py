@@ -191,10 +191,34 @@ def test_michell_empty_condition_sequence(wedge_hull):
 
 def test_resistance_grid_shape_and_positivity(reference_hull):
     grid = resistance_grid(reference_hull, n_theta=128, nx=128, nz=24)
-    assert grid.rw.shape == (4, 8)
-    assert np.all(grid.rw >= 0)
-    assert grid.drafts == (0.25, 0.33, 0.50, 0.67)
-    assert grid.froude == (0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45)
+    assert grid.shape == (4, 8)
+    assert np.all(grid >= 0)
+    assert GRID_DRAFTS == (0.25, 0.33, 0.50, 0.67)
+    assert GRID_FROUDE == (0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45)
+
+
+# resistance_grid(make_hull(), n_theta=128, nx=128, nz=24), rows GRID_DRAFTS
+PINNED_GRID = np.array([
+    (0.04726356217156845, 0.17704095981990586, 0.46595227822891017,
+     0.9799068521383176, 1.1403146477554702, 0.9728756200700722,
+     1.5749943479854083, 2.8850521988237894),
+    (0.05544157279189256, 0.21758648337454728, 0.6718406792746981,
+     1.3842070508462112, 1.7912477622701843, 1.4468131390524617,
+     2.629509588116589, 5.056546112633203),
+    (0.061161118351604565, 0.255655965582723, 0.9932594689137402,
+     1.8278762939684776, 3.1285663184065022, 2.313133963577271,
+     5.248403805482349, 10.660871377599282),
+    (0.06529397247369204, 0.2964725064338186, 1.2065687153276465,
+     1.9375344564001817, 4.446082428441826, 3.1207526875200213,
+     8.273888581230006, 17.11239136946585),
+])
+
+
+def test_resistance_grid_pinned_values(reference_hull):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureAccuracyWarning)
+        grid = resistance_grid(reference_hull, n_theta=128, nx=128, nz=24)
+    assert grid == pytest.approx(PINNED_GRID, rel=1e-13)
 
 
 def test_resistance_grid_refinement(reference_hull):
@@ -202,7 +226,7 @@ def test_resistance_grid_refinement(reference_hull):
         warnings.simplefilter("ignore")
         base = resistance_grid(reference_hull)
         fine = resistance_grid(reference_hull, n_theta=768, nx=1024, nz=96)
-    rel = np.abs(fine.rw - base.rw) / fine.rw
+    rel = np.abs(fine - base) / fine
     assert rel.max() < 0.01
 
 
@@ -230,7 +254,7 @@ def test_resistance_grid_matches_node_by_node_calls(bulb):
         warnings.simplefilter("ignore", QuadratureAccuracyWarning)
         grid = resistance_grid(hull, n_theta=128, nx=128, nz=24)
         want = _grid_node_by_node(hull, n_theta=128, nx=128, nz=24)
-    assert np.array_equal(grid.rw, want)
+    assert np.array_equal(grid, want)
 
 
 def test_interpolated_grid_tracks_direct_evaluation(reference_hull):
@@ -241,7 +265,7 @@ def test_interpolated_grid_tracks_direct_evaluation(reference_hull):
         warnings.simplefilter("ignore")
         grid = resistance_grid(reference_hull)
     tstar, fn = 0.41, 0.27
-    from_grid = grid_lookup(grid.rw[None], 0, tstar, fn)
+    from_grid = grid_lookup(grid[None], 0, tstar, fn)
     ref = HullParams(1.0, reference_hull.shape)
     x_aft, x_fwd = waterline_bounds(ref, tstar)
     cond = FlowCondition(speed=fn * froude_speed(x_fwd - x_aft, 1.0),
@@ -271,18 +295,20 @@ def test_michell_tail_truncation_negligible(wedge_hull):
 
 
 def _direct_amplitude(field, k0, lam):
-    """I + iJ from a full phase table exp(i mu x), with the piecewise-linear
-    cell weights of each z cell taken from its top node (so e^{-h} <= 1)."""
+    """I + iJ from a full phase table exp(i mu x) and a full depth table
+    exp(kappa z), with each z cell integrated down from its top node (so
+    e^{h s} <= 1)."""
     x, z, f = field.x, field.z, field.dydx
     dx, dz = x[1] - x[0], z[1] - z[0]
     kappa, mu = k0 * lam**2, k0 * lam
-    a, b = _linexp_weights(-kappa[:, None] * dz)
-    top = np.exp(kappa[:, None] * z[None, 1:])
+    ez = np.exp(kappa[:, None] * z[None, :])
+    a, b = _linexp_weights(-kappa[:, None] * dz, ez[:, 1:], ez[:, :-1])
     wz = np.zeros((lam.size, z.size))
-    wz[:, :-1] += dz * b * top
-    wz[:, 1:] += dz * a * top
+    wz[:, :-1] += dz * b
+    wz[:, 1:] += dz * a
     g = wz @ f.T
-    ax, bx = _linexp_weights(1j * mu[:, None] * dx)
+    h = 1j * mu[:, None] * dx
+    ax, bx = _linexp_weights(h, 1.0, np.exp(h))
     phase = np.exp(1j * np.outer(mu, x))
     return dx * ((ax * g[:, :-1] + bx * g[:, 1:]) * phase[:, :-1]).sum(axis=1)
 
@@ -336,6 +362,17 @@ def test_ct_scale_and_inverse():
     ten = resistance_coefficient(1234.0 + 5678.0, speed, loa)
     assert resistance_coefficient(12340.0 + 56780.0, speed, loa) == pytest.approx(
         ten + 1.0, rel=1e-12)
+
+
+def test_predicted_total_resistance_squares_by_multiplying():
+    """At C_T = 0 the scale is 0.5 rho U^2 LOA^2 with U*U and LOA*LOA, the
+    squares resistance_coefficient divides by, bit for bit."""
+    rng = np.random.default_rng(11)
+    rho = WaterConstants.rho
+    for u, loa in zip(rng.uniform(0.1, 40.0, 4000), rng.uniform(1.0, 400.0, 4000)):
+        u, loa = float(u), float(loa)
+        cond = FlowCondition(speed=u, loa=loa, tstar=0.5)
+        assert predicted_total_resistance(0.0, cond) == 0.5 * rho * (u * u) * (loa * loa)
 
 
 def test_flow_condition_validation():

@@ -139,11 +139,11 @@ def test_crowding_distance_endpoints_infinite():
 def test_operators_respect_bounds():
     rng = np.random.default_rng(0)
     lower, upper = -np.ones(5), np.ones(5)
-    for _ in range(200):
+    for _ in range(500):   # about 500 mutated genes at probability 1/5
         p1 = rng.uniform(-1, 1, 5)
         p2 = rng.uniform(-1, 1, 5)
         c1, c2 = sbx_crossover(p1, p2, lower, upper, rng)
-        m = polynomial_mutation(c1, lower, upper, rng, prob=0.5)
+        m = polynomial_mutation(c1, lower, upper, rng)
         for v in (c1, c2, m):
             assert np.all((v >= -1) & (v <= 1))
 
