@@ -290,6 +290,14 @@ def _waterline_length(params, tstar):
     return 1.0 - (params.bow_rake + params.stern_rake) * (1.0 - tstar)
 
 
+def _cumulative_volume(params, y, x, dz):
+    """V below each height station but the keel, LOA-normalized: trapezoid
+    bands of the waterplane half-area of the (nz, nx) half-breadths ``y``
+    over the (1, nx) x row, ``dz`` the (nz-1,) height spacings."""
+    width = np.trapezoid(y, x[0], axis=1)              # waterplane half-area
+    return 2.0 * params.depth_ratio * np.cumsum(0.5 * (width[1:] + width[:-1]) * dz)
+
+
 def _cumulative_measures(params, x, dx, zeta):
     """(V, SA) below each height station but the keel, LOA-normalized.
 
@@ -304,8 +312,7 @@ def _cumulative_measures(params, x, dx, zeta):
     dz = np.diff(zeta[:, 0])
     y = _half_breadth_grid(s, x, zeta)
 
-    width = np.trapezoid(y, x[0], axis=1)              # waterplane half-area
-    vol = 2.0 * d * np.cumsum(0.5 * (width[1:] + width[:-1]) * dz)
+    vol = _cumulative_volume(s, y, x, dz)
     area = np.cumsum(_shell_band_areas(y, dx, d * dz[:, None]))
 
     # vertical end caps appear only in the degenerate no-taper, no-rake limits
@@ -323,17 +330,29 @@ def _cumulative_measures(params, x, dx, zeta):
     return vol, area
 
 
-def measure_at(params: HullParams, tstar: float, *, nz: int = MEASURE_NZ,
-               nx: int = MEASURE_NX) -> tuple:
-    """(V, SA, WL), LOA-normalized, at one draft ratio in (0, 1], on an
-    even ``nz`` x ``nx`` grid of the submerged hull."""
+def _draft_stations(params, tstar, nz, nx):
+    """The even grid of the hull submerged to draft ratio ``tstar``: the
+    (1, nx) x row, its spacing and the (nz, 1) height column."""
     require_evaluable(params)
     if not 0.0 < tstar <= 1.0:
         raise DomainError(f"draft ratio must be in (0, 1], got {tstar}")
     x = np.linspace(0.0, 1.0, nx)
-    vol, area = _cumulative_measures(params, x[None, :], x[1] - x[0],
-                                     np.linspace(0.0, tstar, nz)[:, None])
+    return x[None, :], x[1] - x[0], np.linspace(0.0, tstar, nz)[:, None]
+
+
+def measure_at(params: HullParams, tstar: float, *, nz: int = MEASURE_NZ,
+               nx: int = MEASURE_NX) -> tuple:
+    """(V, SA, WL), LOA-normalized, at one draft ratio in (0, 1], on an
+    even ``nz`` x ``nx`` grid of the submerged hull."""
+    vol, area = _cumulative_measures(params, *_draft_stations(params, tstar, nz, nx))
     return vol[-1], area[-1], _waterline_length(params, tstar)
+
+
+def volume_at(params: HullParams, tstar: float, *, nz: int, nx: int) -> float:
+    """measure_at's V alone, bit for bit, without the shell area."""
+    x, _dx, zeta = _draft_stations(params, tstar, nz, nx)
+    y = _half_breadth_grid(params, x, zeta)
+    return _cumulative_volume(params, y, x, np.diff(zeta[:, 0]))[-1]
 
 
 def measure_curves(params: HullParams) -> GeoCurves:

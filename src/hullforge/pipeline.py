@@ -127,8 +127,12 @@ def _lock(out_dir: Path):
                 f"output directory {out_dir} is locked by another run "
                 f"({lock} holds {owner[:32].decode(errors='replace')!r}; "
                 f"remove it if that run is dead)")
-        os.ftruncate(fd, 0)
-        os.pwrite(fd, str(os.getpid()).encode(), 0)
+        # write first, then cut a longer stale pid to length: ext4's
+        # auto_da_alloc flushes a file truncated to zero and rewritten when
+        # it is closed, which blocks every stage's release for tens of ms
+        pid = str(os.getpid()).encode()
+        os.pwrite(fd, pid, 0)
+        os.ftruncate(fd, len(pid))
         try:
             yield
         finally:

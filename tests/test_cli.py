@@ -392,6 +392,19 @@ def test_lock_released_after_exception_in_stage(tmp_path):
         pass
 
 
+def test_lock_reclaimed_from_longer_stale_pid_holds_only_our_pid(tmp_path):
+    from hullforge.pipeline import _lock
+
+    out = tmp_path / "stale-long"
+    out.mkdir()
+    stale = "99999999999"   # longer than any pid, no flock held
+    assert len(stale) > len(str(os.getpid()))
+    (out / ".lock").write_text(stale)
+    with _lock(out):
+        assert (out / ".lock").read_text() == str(os.getpid())
+    assert not (out / ".lock").exists()
+
+
 def test_cli_train_reruns_byte_identical(tmp_path, monkeypatch, capsys):
     """No wall-clock value reaches the models/ tree: the second run sees a
     clock that jumps 1000 s per reading and must still write the same bytes."""

@@ -10,7 +10,7 @@ from hullforge.geometry import (DRAFT_MARKS, SHAPE_NAMES,
                                 HullParams, centerplane_slopes,
                                 half_breadth, hull_from_row, hull_to_row,
                                 measure_at, measure_curves,
-                                read_hull_csv, validate,
+                                read_hull_csv, validate, volume_at,
                                 write_hull_csv)
 from conftest import make_hull
 
@@ -146,6 +146,34 @@ def test_measure_at_waterline_is_the_curves_waterline():
         wl = measure_curves(hull).wl
         for k in rng.choice(DRAFT_MARKS.size, 4, replace=False):
             assert measure_at(hull, DRAFT_MARKS[k], nz=8, nx=16)[2] == wl[k]
+
+
+VOLUME_HULLS = {
+    "plain": {},
+    "bulb": dict(bulb_len=0.05, bulb_radius=0.05, bulb_height=0.06),
+    "prism-limit": dict(run_frac=0.0, entrance_frac=0.0),
+}
+
+
+@pytest.mark.parametrize("tstar", [0.37, 0.8, 1.0])
+@pytest.mark.parametrize("name", VOLUME_HULLS)
+def test_volume_at_is_measure_at_volume_bitwise(name, tstar):
+    hull = make_hull(**VOLUME_HULLS[name])
+    assert volume_at(hull, tstar, nz=160, nx=192) \
+        == measure_at(hull, tstar, nz=160, nx=192)[0]
+
+
+@pytest.mark.parametrize("hull,tstar,error", [
+    (make_hull(), 0.0, DomainError),
+    (make_hull(), -0.2, DomainError),
+    (make_hull(), 1.0 + 1e-12, DomainError),
+    (make_hull(run_frac=0.6, entrance_frac=0.6), 0.5, FeasibilityError),
+    (make_hull(run_frac=0.6, entrance_frac=0.6), 1.5, FeasibilityError),
+], ids=["zero", "negative", "past-deck", "taper-overlap", "both"])
+def test_volume_at_rejects_what_measure_at_rejects(hull, tstar, error):
+    for measure in (measure_at, volume_at):
+        with pytest.raises(error):
+            measure(hull, tstar, nz=160, nx=192)
 
 
 @pytest.mark.parametrize("shape,nx,nzeta", [
