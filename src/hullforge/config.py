@@ -29,13 +29,15 @@ class WaterConstants:
     nu = 1.19e-6   # m^2/s
 
 
-# Axes of the per-hull wave-resistance grid: 4 draft ratios x 8 Froude numbers.
+# Axes of the per-hull wave-resistance grid: 4 draft ratios x 7 Froude numbers.
+# The five bundled cases sit at length Froude numbers 0.17-0.41, above 0.15.
 GRID_DRAFTS = (0.25, 0.33, 0.50, 0.67)
-GRID_FROUDE = (0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45)
+GRID_FROUDE = (0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45)
 
-# Sampling ranges for resistance-model training rows.
+# Sampling ranges for resistance-model training rows; FROUDE_RANGE is the
+# grid's Froude axis, so no row clamps to its edge.
 TSTAR_RANGE = (0.25, 0.67)
-FROUDE_RANGE = (0.05, 0.45)
+FROUDE_RANGE = (GRID_FROUDE[0], GRID_FROUDE[-1])
 LOG10_LOA_RANGE = (0.47, 2.65)
 LOA_RANGE = (3.0, 450.0)   # also the dataset's LOA draw and the feasibility box
 
@@ -43,10 +45,11 @@ LOA_RANGE = (3.0, 450.0)   # also the dataset's LOA draw and the feasibility box
 COND_TSTAR_RANGE = (0.01, 1.0)
 
 # Michell quadrature resolution.  Doubling every resolution (theta nodes, nx,
-# nz) moves the grid values of random dataset hulls by under 1% at Fn >= 0.25,
-# but by up to 2% at Fn 0.20 and 3.3% at Fn 0.10-0.15 (largest change over 32
-# hulls).  The x direction dominates the error (slope kinks get smeared by
-# sampling); the z integral is exact per cell and converges by nz ~ 48.
+# nz) moves the grid values of the first 32 desk hulls by at most 0.7% at
+# Fn >= 0.30, 1.0% at Fn 0.25, 1.7% at 0.20 and 1.9% at 0.15 (largest change
+# per Froude column).  The x direction dominates the error (slope kinks get
+# smeared by sampling); the z integral is exact per cell and converges by
+# nz ~ 48.
 THETA_NODES = 384
 PLANE_NX = 512
 PLANE_NZ = 48

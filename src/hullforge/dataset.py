@@ -52,7 +52,7 @@ class HullTable:
     vols: np.ndarray        # (n_feasible, 100)
     areas: np.ndarray       # (n_feasible, 100)
     wls: np.ndarray         # (n_feasible, 100)
-    rws: np.ndarray         # (n_feasible, 4, 8) at LOA = 1 m
+    rws: np.ndarray         # (n_feasible, 4, 7) at LOA = 1 m
 
 
 def _random_loa(rng) -> float:
@@ -342,7 +342,7 @@ class StackedDataset:
     vols: np.ndarray         # (n, 100)
     areas: np.ndarray        # (n, 100)
     wls: np.ndarray          # (n, 100)
-    rws: np.ndarray          # (n, 4, 8) at LOA = 1 m
+    rws: np.ndarray          # (n, 4, 7) at LOA = 1 m
 
     @property
     def n(self) -> int:
@@ -375,9 +375,8 @@ def _interp_marks(table: np.ndarray, idx: np.ndarray, tstar: np.ndarray) -> np.n
 def resistance_rows(data: StackedDataset, rng: np.random.Generator, n_rows: int):
     """Vectorized Table-style training rows: X = [x_hat, t*, F_n, log LOA], y = C_T.
 
-    Froude numbers below the wave-resistance grid floor use the clamped
-    edge value (the grid starts at 0.10 while training samples down to
-    0.05, where wave resistance is negligible against friction).
+    Froude numbers are drawn over FROUDE_RANGE, the span of the grid's
+    Froude axis, so no row clamps to a grid edge.
     """
     idx = rng.integers(0, data.n, n_rows)
     tstar = rng.uniform(*TSTAR_RANGE, n_rows)

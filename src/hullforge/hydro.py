@@ -19,7 +19,8 @@ evaluation, then each round of tail blocks of the conditions still
 extending into one more.  Every row is computed independently, by the same
 operations as alone (the depth table e^{kappa z} is a cumulative product
 down from the waterline), so stacked values are bit for bit those of
-separate calls.  resistance_grid makes one call per draft and slope field.
+separate calls.  resistance_grid builds one slope field and makes one call
+per draft, over the 7 Froude nodes of its 4 x 7 grid.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .errors import DomainError, QuadratureAccuracyWarning, SingularityError
 from .geometry import HullParams, SlopeField, centerplane_slopes, waterline_bounds
 
 MICHELL_PREFACTOR = 4.0     # classical thin-ship constant
-LOW_FN_NX_FACTOR = 3        # extra x resolution for grid nodes below Fn 0.125
 TAIL_TOLERANCE = 1e-6       # admissible relative tail of the theta integral
 REFINEMENT_WARN = 0.01      # self-check disagreement that triggers a warning
 PHASE_BLOCK = 32            # x nodes per block of the phase sum
@@ -272,28 +272,23 @@ def michell_wave_resistance(slopes: SlopeField, cond, *,
 
 def resistance_grid(params: HullParams, *, n_theta: int = THETA_NODES,
                     nx: int = PLANE_NX, nz: int = PLANE_NZ) -> np.ndarray:
-    """Wave resistance (N) on the (GRID_DRAFTS, GRID_FROUDE) grid, (4, 8).
+    """Wave resistance (N) on the (GRID_DRAFTS, GRID_FROUDE) grid, (4, 7).
 
     The grid is computed at a reference LOA of 1 m; values rescale to any
     length by Froude similitude, R_w(LOA) = rw * LOA^3 at equal Froude
     number.  Speeds at each node come from the hull's own waterline length
-    at that draft.  Each draft makes one Michell call per slope field: the
-    nodes below Fn 0.125 share a field refined along x and z (short waves,
-    and a thin exponential decay layer), the rest share the plain field.
+    at that draft.  Each draft builds one slope field and makes one Michell
+    call over all its Froude nodes.
     """
     ref = HullParams(1.0, params.shape)
-    low = np.asarray(GRID_FROUDE) < 0.125
     rw = np.empty((len(GRID_DRAFTS), len(GRID_FROUDE)))
     for i, tstar in enumerate(GRID_DRAFTS):
-        slopes = centerplane_slopes(ref, tstar, nx, nz)
-        fine = centerplane_slopes(ref, tstar, LOW_FN_NX_FACTOR * nx, 2 * nz)
         x_aft, x_fwd = waterline_bounds(ref, tstar)
         speed = froude_speed(x_fwd - x_aft, 1.0)
-        conds = [FlowCondition(speed=float(fn * speed), loa=1.0, tstar=tstar)
-                 for fn in GRID_FROUDE]
-        for field, nodes in ((fine, low), (slopes, ~low)):
-            rw[i, nodes] = michell_wave_resistance(
-                field, [c for c, on in zip(conds, nodes) if on], n_theta=n_theta)
+        rw[i] = michell_wave_resistance(
+            centerplane_slopes(ref, tstar, nx, nz),
+            [FlowCondition(speed=float(fn * speed), loa=1.0, tstar=tstar)
+             for fn in GRID_FROUDE], n_theta=n_theta)
     return rw
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hullforge.config import WaterConstants
+from hullforge.config import (FROUDE_RANGE, GRID_FROUDE, WaterConstants,
+                              default_cases)
 from hullforge.dataset import (DATASET_FIELDS, HullTable, build_dataset,
                                classifier_rows, fit_normalizer, geometry_rows,
                                load_normalizer, pool_map, read_dataset_csv, read_meta,
@@ -66,7 +67,7 @@ def test_build_dataset_counts_and_invariants(mini_table):
     assert t.feasible.tolist() == [True] * 64 + [False] * 64
     assert t.loa.shape == (128,) and t.shapes.shape == (128, 13)
     assert t.vols.shape == t.areas.shape == t.wls.shape == (64, 100)
-    assert t.rws.shape == (64, 4, 8)
+    assert t.rws.shape == (64, 4, 7)
     assert np.all(np.diff(t.vols, axis=1) >= -1e-15)
     assert np.all(np.diff(t.areas, axis=1) >= -1e-12)
     assert np.all(t.rws >= 0)
@@ -259,8 +260,17 @@ def test_training_rows_finite_bulk(mini_stacked):
     assert x.shape == (10_000, 16)
     assert np.isfinite(y).all()
     assert np.all((x[:, 13] >= 0.25) & (x[:, 13] <= 0.67))
-    assert np.all((x[:, 14] >= 0.05) & (x[:, 14] <= 0.45))
+    # every Froude number inside the grid's axis, so no row clamps to its edge
+    assert np.all((x[:, 14] >= GRID_FROUDE[0]) & (x[:, 14] <= GRID_FROUDE[-1]))
     assert np.all((x[:, 15] >= 0.47) & (x[:, 15] <= 2.65))
+
+
+def test_bundled_cases_sit_inside_the_training_froude_range():
+    # the surrogate's Fn uses the waterline length, at most LOA, so it is
+    # at least each case's length Froude number U / sqrt(g LOA)
+    for case in default_cases().values():
+        fn = case.speed / math.sqrt(WaterConstants.g * case.loa)
+        assert fn >= FROUDE_RANGE[0], case.name
 
 
 def test_vector_rows_match_hand_chain(mini_stacked):
@@ -275,8 +285,7 @@ def test_vector_rows_match_hand_chain(mini_stacked):
     marks = np.linspace(0.01, 1.0, 100)
     sa = np.interp(tstar, marks, mini_stacked.areas[idx])
     wl = np.interp(tstar, marks, mini_stacked.wls[idx])
-    rw = grid_lookup(mini_stacked.rws, idx, float(tstar),
-                     float(max(fn, 0.10))) * loa**3
+    rw = grid_lookup(mini_stacked.rws, idx, float(tstar), float(fn)) * loa**3
     speed = fn * math.sqrt(water.g * wl * loa)
     re = speed * wl * loa / water.nu
     cf = 0.075 / (math.log10(re) - 2.0) ** 2
@@ -337,8 +346,8 @@ def test_dataset_csv_roundtrip(tmp_path, mini_table):
     with open(path) as fh:
         assert tuple(fh.readline().strip().split(",")) == DATASET_FIELDS
     # the grid columns run over Froude numbers within each draft
-    assert len(GRID_COLUMNS) == 32
-    assert GRID_COLUMNS[0] == "rw_0.25_0.10" and GRID_COLUMNS[1] == "rw_0.25_0.15"
+    assert len(GRID_COLUMNS) == 28
+    assert GRID_COLUMNS[0] == "rw_0.25_0.15" and GRID_COLUMNS[1] == "rw_0.25_0.20"
     assert GRID_COLUMNS[-1] == "rw_0.67_0.45"
 
 

@@ -143,7 +143,7 @@ def _recorded(fn):
                                                    (512, 48, 1e-13)])
 def test_michell_condition_sequence_matches_single_calls(reference_hull, nx, nz,
                                                          tail_tolerance, monkeypatch):
-    # every grid speed through one call: each value bit for bit its own call's.
+    # eight speeds through one call: each value bit for bit its own call's.
     # The conditions' tails stop after different rounds; at 1e-13 the Fn 0.10
     # tail never does, and only its call warns that it failed to decay.
     from hullforge import hydro
@@ -152,7 +152,7 @@ def test_michell_condition_sequence_matches_single_calls(reference_hull, nx, nz,
         monkeypatch.setattr(hydro, "TAIL_TOLERANCE", tail_tolerance)
     field = centerplane_slopes(HullParams(1.0, reference_hull.shape), 0.5, nx, nz)
     conds = [FlowCondition(speed=fn * froude_speed(1.0, 1.0), loa=1.0, tstar=0.5)
-             for fn in GRID_FROUDE]
+             for fn in (0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45)]
     one, one_warned = _recorded(
         lambda: [michell_wave_resistance(field, c) for c in conds])
     stacked, stacked_warned = _recorded(lambda: michell_wave_resistance(field, conds))
@@ -191,26 +191,26 @@ def test_michell_empty_condition_sequence(wedge_hull):
 
 def test_resistance_grid_shape_and_positivity(reference_hull):
     grid = resistance_grid(reference_hull, n_theta=128, nx=128, nz=24)
-    assert grid.shape == (4, 8)
+    assert grid.shape == (4, 7)
     assert np.all(grid >= 0)
     assert GRID_DRAFTS == (0.25, 0.33, 0.50, 0.67)
-    assert GRID_FROUDE == (0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45)
+    assert GRID_FROUDE == (0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45)
 
 
 # resistance_grid(make_hull(), n_theta=128, nx=128, nz=24), rows GRID_DRAFTS
 PINNED_GRID = np.array([
-    (0.04726356217156845, 0.17704095981990586, 0.46595227822891017,
-     0.9799068521383176, 1.1403146477554702, 0.9728756200700722,
-     1.5749943479854083, 2.8850521988237894),
-    (0.05544157279189256, 0.21758648337454728, 0.6718406792746981,
-     1.3842070508462112, 1.7912477622701843, 1.4468131390524617,
-     2.629509588116589, 5.056546112633203),
-    (0.061161118351604565, 0.255655965582723, 0.9932594689137402,
-     1.8278762939684776, 3.1285663184065022, 2.313133963577271,
-     5.248403805482349, 10.660871377599282),
-    (0.06529397247369204, 0.2964725064338186, 1.2065687153276465,
-     1.9375344564001817, 4.446082428441826, 3.1207526875200213,
-     8.273888581230006, 17.11239136946585),
+    (0.17704095981990586, 0.46595227822891017, 0.9799068521383176,
+     1.1403146477554702, 0.9728756200700722, 1.5749943479854083,
+     2.8850521988237894),
+    (0.21758648337454728, 0.6718406792746981, 1.3842070508462112,
+     1.7912477622701843, 1.4468131390524617, 2.629509588116589,
+     5.056546112633203),
+    (0.255655965582723, 0.9932594689137402, 1.8278762939684776,
+     3.1285663184065022, 2.313133963577271, 5.248403805482349,
+     10.660871377599282),
+    (0.2964725064338186, 1.2065687153276465, 1.9375344564001817,
+     4.446082428441826, 3.1207526875200213, 8.273888581230006,
+     17.11239136946585),
 ])
 
 
@@ -235,14 +235,12 @@ def _grid_node_by_node(params, n_theta, nx, nz):
     ref = HullParams(1.0, params.shape)
     rw = np.empty((len(GRID_DRAFTS), len(GRID_FROUDE)))
     for i, tstar in enumerate(GRID_DRAFTS):
-        coarse = centerplane_slopes(ref, tstar, nx, nz)
-        fine = centerplane_slopes(ref, tstar, 3 * nx, 2 * nz)
+        field = centerplane_slopes(ref, tstar, nx, nz)
         x_aft, x_fwd = waterline_bounds(ref, tstar)
         for j, fn in enumerate(GRID_FROUDE):
             cond = FlowCondition(speed=float(fn * froude_speed(x_fwd - x_aft, 1.0)),
                                  loa=1.0, tstar=tstar)
-            rw[i, j] = michell_wave_resistance(coarse if fn >= 0.125 else fine,
-                                               cond, n_theta=n_theta)
+            rw[i, j] = michell_wave_resistance(field, cond, n_theta=n_theta)
     return rw
 
 
@@ -340,14 +338,14 @@ def test_wave_amplitude_matches_direct_phase_table(reference_hull, nx, nz, fn, r
 
 
 def test_interpolate_rw_nodes_and_midpoints():
-    rw = np.arange(32, dtype=float).reshape(4, 8) + 1.0
-    assert grid_lookup(rw[None], 0, 0.33, 0.20) == rw[1, 2]
+    rw = np.arange(28, dtype=float).reshape(4, 7) + 1.0
+    assert grid_lookup(rw[None], 0, 0.33, 0.20) == rw[1, 1]
     mid = grid_lookup(rw[None], 0, 0.33, 0.225)
-    assert mid == pytest.approx(0.5 * (rw[1, 2] + rw[1, 3]), rel=1e-12)
+    assert mid == pytest.approx(0.5 * (rw[1, 1] + rw[1, 2]), rel=1e-12)
 
 
 def test_interpolate_rw_low_froude_clamps_with_warning():
-    val = grid_lookup(np.ones((1, 4, 8)), 0, 0.5, 0.07)
+    val = grid_lookup(np.ones((1, 4, 7)), 0, 0.5, 0.07)
     assert val == 1.0
 
 
