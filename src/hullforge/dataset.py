@@ -181,8 +181,11 @@ def _build_one(args):
     params = sample_random_hull(rng)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        curves = measure_curves(params)
+        # the grid first: its Michell chunks are a hull's largest temporaries,
+        # so a fresh worker's heap grows once to hold them, and the measure
+        # blocks then fit in it instead of growing and trimming it per block
         grid = resistance_grid(params, n_theta=n_theta, nx=nx, nz=nz)
+        curves = measure_curves(params)
     return params, curves, grid
 
 

@@ -74,6 +74,10 @@ MEASURE_NZ = 200
 MEASURE_NX = 256
 SUBSTATIONS = 20    # measure_curves height stations per draft-mark band
 BULB_X_NODES = 33   # extra measure_curves x-stations across a bow bulb
+# Half-breadth cells per row block of the measure integrators: a working set
+# of a few hundred kB per array, with measure_at's default grid and the volume
+# constraint's volume_at (160 x 192) still one block.
+MEASURE_BLOCK_CELLS = MEASURE_NZ * MEASURE_NX
 
 
 @dataclass(frozen=True)
@@ -290,12 +294,24 @@ def _waterline_length(params, tstar):
     return 1.0 - (params.bow_rake + params.stern_rake) * (1.0 - tstar)
 
 
-def _cumulative_volume(params, y, x, dz):
+def _cumulative_volume(params, width, dz):
     """V below each height station but the keel, LOA-normalized: trapezoid
-    bands of the waterplane half-area of the (nz, nx) half-breadths ``y``
-    over the (1, nx) x row, ``dz`` the (nz-1,) height spacings."""
-    width = np.trapezoid(y, x[0], axis=1)              # waterplane half-area
+    bands of the per-station waterplane half-areas ``width`` (nz,), ``dz``
+    the (nz-1,) height spacings."""
     return 2.0 * params.depth_ratio * np.cumsum(0.5 * (width[1:] + width[:-1]) * dz)
+
+
+def _station_blocks(params, x, zeta):
+    """(rows, y) for row blocks of the hull over the (1, nx) x row and the
+    (nz, 1) height column ``zeta``: y holds the half-breadths of the stations
+    ``rows``, at most MEASURE_BLOCK_CELLS of them, and each block repeats
+    the last row of the one before, so every height band lies in one block.
+    Every row is computed as it would be in one full grid."""
+    nz = zeta.shape[0]
+    step = max(2, MEASURE_BLOCK_CELLS // x.shape[1]) - 1
+    for lo in range(0, max(nz - 1, 1), step):
+        rows = slice(lo, min(lo + step + 1, nz))
+        yield rows, _half_breadth_grid(params, x, zeta[rows])
 
 
 def _cumulative_measures(params, x, dx, zeta):
@@ -305,28 +321,37 @@ def _cumulative_measures(params, x, dx, zeta):
     (nx-1,) row; zeta is an (nz, 1) column of height stations, fractions
     of the depth, from the keel up.  Volume sums trapezoid bands of the
     waterplane area; wetted area sums the shell bands, then adds the
-    submerged end caps and the flat bottom.  Returns two (nz-1,) arrays.
+    submerged end caps and the flat bottom.  The grid is integrated in the
+    row blocks of _station_blocks, which collect the per-station widths,
+    per-band shell areas and end-cap half-breadths; the cumulative sums run
+    once over those, so the values do not depend on the blocking.  Returns
+    two (nz-1,) arrays.
     """
     s = params
     d = s.depth_ratio
     dz = np.diff(zeta[:, 0])
-    y = _half_breadth_grid(s, x, zeta)
-
-    vol = _cumulative_volume(s, y, x, dz)
-    area = np.cumsum(_shell_band_areas(y, dx, d * dz[:, None]))
-
     # vertical end caps appear only in the degenerate no-taper, no-rake limits
-    ends = []
+    caps = []
     if s.run_frac == 0.0 and s.stern_rake == 0.0:
-        ends.append(y[:, 0])
+        caps.append(0)
     if s.entrance_frac == 0.0 and s.bow_rake == 0.0:
-        ends.append(y[:, -1])
-    if ends:
-        rows = sum(ends)
-        area += 2.0 * d * np.cumsum(0.5 * (rows[1:] + rows[:-1]) * dz)
+        caps.append(-1)
+    width = np.empty(dz.size + 1)
+    bands = np.empty(dz.size)
+    ends = np.empty(dz.size + 1)
+    for rows, y in _station_blocks(s, x, zeta):
+        width[rows] = np.trapezoid(y, x[0], axis=1)     # waterplane half-areas
+        below = slice(rows.start, rows.stop - 1)
+        bands[below] = _shell_band_areas(y, dx, d * dz[below, None])
+        if caps:
+            ends[rows] = sum(y[:, c] for c in caps)
 
+    vol = _cumulative_volume(s, width, dz)
+    area = np.cumsum(bands)
+    if caps:
+        area += 2.0 * d * np.cumsum(0.5 * (ends[1:] + ends[:-1]) * dz)
     # flat bottom closes the hull when sections carry beam at the keel
-    area += 2.0 * np.trapezoid(y[0], x[0])
+    area += 2.0 * width[0]
     return vol, area
 
 
@@ -351,8 +376,10 @@ def measure_at(params: HullParams, tstar: float, *, nz: int = MEASURE_NZ,
 def volume_at(params: HullParams, tstar: float, *, nz: int, nx: int) -> float:
     """measure_at's V alone, bit for bit, without the shell area."""
     x, _dx, zeta = _draft_stations(params, tstar, nz, nx)
-    y = _half_breadth_grid(params, x, zeta)
-    return _cumulative_volume(params, y, x, np.diff(zeta[:, 0]))[-1]
+    width = np.empty(nz)
+    for rows, y in _station_blocks(params, x, zeta):
+        width[rows] = np.trapezoid(y, x[0], axis=1)
+    return _cumulative_volume(params, width, np.diff(zeta[:, 0]))[-1]
 
 
 def measure_curves(params: HullParams) -> GeoCurves:
@@ -374,6 +401,12 @@ def measure_curves(params: HullParams) -> GeoCurves:
     (zeta / deadrise)^(1 / section_fullness) has an infinite slope, and
     BULB_X_NODES x-stations span a bow bulb, which can be shorter than
     two even x-steps.
+
+    The 2001 x 256 station grid (about 33 more columns with a bulb) is
+    never held whole: it is integrated in row blocks of at most
+    MEASURE_BLOCK_CELLS half-breadths, about 200 rows, each overlapping the
+    one before by a row, and the values are those of one whole-grid pass,
+    bit for bit.
     """
     require_evaluable(params)
     s = params

@@ -19,8 +19,13 @@ evaluation, then each round of tail blocks of the conditions still
 extending into one more.  Every row is computed independently, by the same
 operations as alone (the depth table e^{kappa z} is a cumulative product
 down from the waterline), so stacked values are bit for bit those of
-separate calls.  resistance_grid builds one slope field and makes one call
-per draft, over the 7 Froude nodes of its 4 x 7 grid.
+separate calls.  The stacked rows are evaluated in chunks of at most
+AMPLITUDE_ROWS, so a call's working set stays bounded however many
+conditions it stacks, and by the same row independence the chunked values
+are bit for bit those of one evaluation.  resistance_grid builds one slope
+field and makes one call per draft, over the 7 Froude nodes of its 4 x 7
+grid (2695 rows at the desk resolution, six chunks); an audit's
+single-node call (385 rows) is one chunk.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ MICHELL_PREFACTOR = 4.0     # classical thin-ship constant
 TAIL_TOLERANCE = 1e-6       # admissible relative tail of the theta integral
 REFINEMENT_WARN = 0.01      # self-check disagreement that triggers a warning
 PHASE_BLOCK = 32            # x nodes per block of the phase sum
+AMPLITUDE_ROWS = 512        # lambda rows per chunk of the wave-amplitude kernel
 
 
 @dataclass(frozen=True)
@@ -122,9 +128,25 @@ def _wave_amplitude(slopes: SlopeField, k0, lam: np.ndarray) -> np.ndarray:
 
     ``k0`` is one wavenumber for every node, or one per node: rows are
     independent, so each row's value is the same whether it is evaluated
-    alone or stacked with other flow conditions' nodes.
+    alone or stacked with other flow conditions' nodes.  The rows run in
+    chunks of at most AMPLITUDE_ROWS, which bounds the working set of a
+    stacked call and, by the same independence, leaves every value as it is.
     """
     x, z, f = slopes.x, slopes.z, slopes.dydx
+    nblock = -(-x.size // PHASE_BLOCK)
+    if nblock * PHASE_BLOCK > x.size:                          # zero-pad x
+        f = np.concatenate([f, np.zeros((nblock * PHASE_BLOCK - x.size, z.size))])
+    k0 = np.broadcast_to(k0, lam.shape)
+    amp = np.empty(lam.size, dtype=complex)
+    for lo in range(0, lam.size, AMPLITUDE_ROWS):
+        rows = slice(lo, lo + AMPLITUDE_ROWS)
+        amp[rows] = _amplitude_rows(x, z, f, k0[rows], lam[rows])
+    return amp
+
+
+def _amplitude_rows(x, z, f, k0, lam):
+    """_wave_amplitude on one chunk of rows; ``f`` is the slope field
+    zero-padded to whole PHASE_BLOCKs of x nodes."""
     dz = z[1] - z[0]
     dx = x[1] - x[0]
     kappa = k0 * lam**2                       # vertical decay rates
@@ -147,6 +169,7 @@ def _wave_amplitude(slopes: SlopeField, k0, lam: np.ndarray) -> np.ndarray:
     wz = np.zeros((lam.size, z.size))
     wz[:, :-1] += dz * a_lo
     wz[:, 1:] += dz * b_lo
+    del ez, a_lo, b_lo          # keep the chunk's working set to g and wz
 
     # x sweep with complex exponential weights (A, B per cell).  Regrouped
     # by node, with s = e^{i mu dx} and n nodes, the cell sum is
@@ -156,9 +179,7 @@ def _wave_amplitude(slopes: SlopeField, k0, lam: np.ndarray) -> np.ndarray:
     # runs in blocks of PHASE_BLOCK nodes, s^j = s^{PHASE_BLOCK a} s^b, so
     # two short cumulative products replace the full (nlam, nx) phase table.
     nlam, n = lam.size, x.size
-    nblock = -(-n // PHASE_BLOCK)
-    if nblock * PHASE_BLOCK > n:                               # zero-pad x
-        f = np.concatenate([f, np.zeros((nblock * PHASE_BLOCK - n, z.size))])
+    nblock = f.shape[0] // PHASE_BLOCK
     g = wz @ f.T                                               # (nlam, padded nx)
     step = np.exp(1j * mu * dx)
     inner = np.empty((nlam, PHASE_BLOCK), dtype=complex)        # s^b

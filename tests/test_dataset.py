@@ -5,6 +5,9 @@ import multiprocessing
 import os
 import threading
 import time
+import tracemalloc
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +21,15 @@ from hullforge.dataset import (DATASET_FIELDS, HullTable, build_dataset,
                                resistance_rows, sample_infeasible_vector,
                                sample_random_hull, save_normalizer,
                                write_dataset_csv, write_meta)
-from hullforge.errors import DomainError, GenerationError, RepresentationError
-from hullforge.geometry import HULL_FIELDS, HullParams, validate
-from hullforge.hydro import GRID_COLUMNS, grid_lookup
+from hullforge import geometry, hydro
+from hullforge.errors import (DomainError, GenerationError, QuadratureAccuracyWarning,
+                              RepresentationError)
+from hullforge.geometry import (HULL_FIELDS, HullParams, measure_at, measure_curves,
+                                validate, volume_at)
+from hullforge.hydro import GRID_COLUMNS, grid_lookup, resistance_grid
 from hullforge.pipeline import _split_records
+
+from conftest import make_hull
 
 _spec = importlib.util.spec_from_file_location(
     "bench_checks", Path(__file__).resolve().parent.parent / "benchmark" / "checks.py")
@@ -142,6 +150,101 @@ def test_pool_map_in_process_for_one_worker_or_one_job(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)   # workers = 0 on one CPU
     assert pool_map(pid, [1, 2, 3], workers=0) == here * 3
     assert pool_map(pid, [1, 2, 3], workers=0, threads=True) == here * 3
+
+
+# The per-hull kernels of the dataset stage, on a plain hull, a bulbous hull
+# (extra x-stations) and the prism limit (the end-cap path).
+KERNEL_HULLS = {
+    "reference": {},
+    "bulb": dict(bulb_len=0.05, bulb_radius=0.06, bulb_height=0.08),
+    "prism-limit": dict(run_frac=0.0, entrance_frac=0.0, bow_rake=0.0, stern_rake=0.0),
+}
+
+
+def _kernel_values(hull):
+    curves = measure_curves(hull)
+    # measure_at and volume_at on the design path's grids and on one of
+    # several blocks; resistance_grid at the desk resolution
+    return (curves.vol, curves.area, curves.wl,
+            *measure_at(hull, 0.5), *measure_at(hull, 0.8, nz=1000, nx=300),
+            volume_at(hull, 0.5, nz=160, nx=192), volume_at(hull, 0.8, nz=1000, nx=300),
+            resistance_grid(hull, n_theta=384, nx=512, nz=48))
+
+
+def _spy(monkeypatch, module, name, log):
+    """Wrap ``module.name`` so that each call appends ``name`` to ``log``."""
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: log.append(name) or fn(*a))
+
+
+@pytest.mark.parametrize("name", KERNEL_HULLS)
+def test_blocked_kernels_equal_whole_grid_kernels_bitwise(name, monkeypatch):
+    """Row blocks of the measures and row chunks of the wave amplitude give
+    the values of one block and one chunk, bit for bit."""
+    hull = make_hull(**KERNEL_HULLS[name])
+    calls = []
+    _spy(monkeypatch, geometry, "_half_breadth_grid", calls)
+    _spy(monkeypatch, hydro, "_amplitude_rows", calls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureAccuracyWarning)
+        blocked = _kernel_values(hull)
+        split = Counter(calls)
+        calls.clear()
+        monkeypatch.setattr(geometry, "MEASURE_BLOCK_CELLS", 10**9)
+        monkeypatch.setattr(hydro, "AMPLITUDE_ROWS", 10**9)
+        whole = _kernel_values(hull)
+    # the defaults did split the work: more blocks and chunks than whole grids
+    assert split["_half_breadth_grid"] > calls.count("_half_breadth_grid")
+    assert split["_amplitude_rows"] > calls.count("_amplitude_rows")
+    for got, want in zip(blocked, whole, strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_design_path_grids_stay_one_block(monkeypatch):
+    """measure_at's default 200 x 256 grid, the volume constraint's 160 x 192
+    volume_at and an audit's single-node Michell call run unsplit."""
+    hull = make_hull(**KERNEL_HULLS["bulb"])
+    field = geometry.centerplane_slopes(HullParams(1.0, hull.shape), 0.5, 512, 48)
+    calls = []
+    _spy(monkeypatch, geometry, "_half_breadth_grid", calls)
+    measure_at(hull, 0.5)
+    volume_at(hull, 0.5, nz=160, nx=192)
+    assert calls == ["_half_breadth_grid"] * 2
+    calls.clear()
+    _spy(monkeypatch, hydro, "_wave_amplitude", calls)
+    _spy(monkeypatch, hydro, "_amplitude_rows", calls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureAccuracyWarning)
+        hydro.michell_wave_resistance(field, hydro.FlowCondition(1.0, 1.0, 0.5))
+    assert calls[:2] == ["_wave_amplitude", "_amplitude_rows"]
+    assert calls.count("_wave_amplitude") == calls.count("_amplitude_rows")
+
+
+# tracemalloc peaks of the whole-grid kernels were 15.8 (plain) to 23.8 MB
+# (bulbous) for measure_curves and 18.8 MB for resistance_grid
+WORKING_SET_BOUND = 5 * 2**20
+
+
+@pytest.mark.parametrize("name", ["reference", "bulb"])
+def test_per_hull_kernels_work_in_a_bounded_working_set(name):
+    hull = make_hull(**KERNEL_HULLS[name])
+    kernels = {"measure_curves": measure_curves,
+               "resistance_grid": lambda h: resistance_grid(h, n_theta=384, nx=512, nz=48)}
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for label, kernel in kernels.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", QuadratureAccuracyWarning)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                kernel(hull)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= WORKING_SET_BOUND, (label, peak / 2**20)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def test_build_dataset_rejects_bad_count():

@@ -344,9 +344,12 @@ def test_interpolate_rw_nodes_and_midpoints():
     assert mid == pytest.approx(0.5 * (rw[1, 1] + rw[1, 2]), rel=1e-12)
 
 
-def test_interpolate_rw_low_froude_clamps_with_warning():
-    val = grid_lookup(np.ones((1, 4, 7)), 0, 0.5, 0.07)
-    assert val == 1.0
+def test_interpolate_rw_clamps_froude_to_the_grid_edges_silently():
+    rw = (np.arange(28, dtype=float) + 1.0).reshape(1, 4, 7)   # columns differ
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grid_lookup(rw, 0, 0.5, 0.07) == rw[0, 2, 0]    # the 0.15 column
+        assert grid_lookup(rw, 0, 0.5, 0.60) == rw[0, 2, -1]   # the 0.45 column
 
 
 def test_ct_scale_and_inverse():
