@@ -21,5 +21,4 @@ from .diffusion import (ConditioningVector, DenoiserModel, GuidanceModels,
                         NoiseSchedule, forward_noise, linear_schedule,
                         sample_guided, train_diffusion)
 from .optimize import Individual, Problem, evaluate_individual, nsga2
-from .evaluate import (AuditTable, ComparisonReport, audit_samples, compare,
-                       kde, volume_error_fraction)
+from .evaluate import AuditTable, ComparisonReport, audit_samples, compare, kde

@@ -94,6 +94,15 @@ class TestCase:
     def tstar(self) -> float:
         return self.draft / self.depth
 
+    def dimension_errors(self, shape) -> tuple:
+        """(beam_err, depth_err, t*) of a raw shape vector at this case's LOA:
+        the relative errors of its beam and depth against the targets, and
+        the draft ratio t* = draft / (depth_ratio * LOA) that floats it at
+        the target draft (past the deck when t* > 1)."""
+        depth = shape[1] * self.loa     # shape[0], shape[1]: beam and depth ratios
+        return ((shape[0] * self.loa - self.boa) / self.boa,
+                (depth - self.depth) / self.depth, self.draft / depth)
+
 
 def default_cases() -> dict[str, TestCase]:
     """The five bundled design test cases (real-ship-inspired dimensions)."""

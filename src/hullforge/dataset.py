@@ -9,7 +9,6 @@ worker count and scheduling cannot change the result.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import math
 import os
@@ -24,7 +23,8 @@ from .config import (COND_TSTAR_RANGE, FROUDE_RANGE, GRID_DRAFTS, GRID_FROUDE,
                      TSTAR_RANGE)
 from .errors import DomainError, GenerationError, RepresentationError
 from .geometry import (BOX_BOUNDS, DRAFT_MARKS, HULL_FIELDS, SHAPE_NAMES,
-                       HullParams, measure_curves, validate, write_csv)
+                       HullParams, measure_curves, read_hull_rows, validate,
+                       write_flagged_csv)
 from .hydro import (GRID_COLUMNS, FlowCondition, froude_speed, grid_lookup,
                     predicted_total_resistance, resistance_coefficient,
                     resistance_grid, skin_friction)
@@ -458,43 +458,30 @@ DATASET_FIELDS = HULL_FIELDS + ("feasible",) + _CURVE_COLUMNS + GRID_COLUMNS
 
 
 def write_dataset_csv(table: HullTable, path) -> None:
-    values = iter(np.column_stack([table.vols, table.areas, table.wls,
-                                   table.rws.reshape(-1, len(GRID_COLUMNS))]))
-    blank = [""] * (len(_CURVE_COLUMNS) + len(GRID_COLUMNS))
-    write_csv(path, DATASET_FIELDS,
-              ([loa, *shape, "1", *next(values)] if feas else [loa, *shape, "0", *blank]
-               for loa, shape, feas in zip(table.loa, table.shapes, table.feasible)))
+    write_flagged_csv(path, DATASET_FIELDS, table.feasible,
+                      np.column_stack([table.vols, table.areas, table.wls,
+                                       table.rws.reshape(-1, len(GRID_COLUMNS))]),
+                      lead=np.column_stack([table.loa, table.shapes]))
+
+
+def _flagged_values(cells):
+    """The values after a row's feasibility flag: an array (8 bytes a value,
+    not a list's 32) under a set flag, None under a clear one."""
+    if cells[0] not in ("0", "1"):
+        raise ValueError(f"feasible flag {cells[0]!r}")
+    return np.array([float(v) for v in cells[1:]]) if cells[0] == "1" else None
 
 
 def read_dataset_csv(path) -> HullTable:
     """The table written by write_dataset_csv; a malformed row raises
     RepresentationError naming the file and the line."""
-    nh, nc = len(HULL_FIELDS), DRAFT_MARKS.size
-    hulls, flags, values = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != DATASET_FIELDS:
-            raise RepresentationError(f"unexpected dataset header in {path}")
-        for row in reader:
-            try:
-                if len(row) != len(DATASET_FIELDS):
-                    raise ValueError(f"{len(row)} cells, expected {len(DATASET_FIELDS)}")
-                if row[nh] not in ("0", "1"):
-                    raise ValueError(f"feasible flag {row[nh]!r}")
-                hull = [float(v) for v in row[:nh]]
-                if not all(map(math.isfinite, hull)):
-                    raise ValueError("non-finite hull parameter")
-                if row[nh] == "1":   # an array, not a list: 8 bytes a value, not 32
-                    values.append(np.array([float(v) for v in row[nh + 1:]]))
-            except ValueError as exc:
-                raise RepresentationError(
-                    f"bad dataset row on line {reader.line_num} ({exc}): {path}") from None
-            hulls.append(hull)
-            flags.append(row[nh] == "1")
-    hulls = np.array(hulls).reshape(-1, nh)
-    values = np.array(values).reshape(-1, len(DATASET_FIELDS) - nh - 1)
+    nc = DRAFT_MARKS.size
+    loa, shapes, tails = read_hull_rows(path, DATASET_FIELDS, _flagged_values)
+    feasible = np.array([v is not None for v in tails], dtype=bool)
+    values = np.array([v for v in tails if v is not None]).reshape(
+        -1, len(DATASET_FIELDS) - len(HULL_FIELDS) - 1)
     return HullTable(
-        loa=hulls[:, 0], shapes=hulls[:, 1:], feasible=np.array(flags, dtype=bool),
+        loa=loa, shapes=shapes, feasible=feasible,
         vols=values[:, :nc], areas=values[:, nc:2 * nc], wls=values[:, 2 * nc:3 * nc],
         rws=values[:, 3 * nc:].reshape(-1, len(GRID_DRAFTS), len(GRID_FROUDE)))
 

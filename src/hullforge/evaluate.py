@@ -27,27 +27,6 @@ VOLUME_BAND = 0.05      # the volume-error band of the summary and comparison
 KDE_GRID = 256
 
 
-def normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def volume_error_fraction(feasibility_rate: float, mean: float, std: float) -> float:
-    """Expected fraction of samples inside the VOLUME_BAND volume-error band.
-
-    Gaussian model of the error distribution scaled by the feasibility
-    rate; a zero spread degenerates to the indicator of the mean being
-    inside the band.
-    """
-    if std < 0:
-        raise DomainError("standard deviation must be non-negative")
-    if std == 0.0:
-        inside = 1.0 if abs(mean) <= VOLUME_BAND else 0.0
-        return feasibility_rate * inside
-    hi = normal_cdf((VOLUME_BAND - mean) / std)
-    lo = normal_cdf((-VOLUME_BAND - mean) / std)
-    return feasibility_rate * (hi - lo)
-
-
 @dataclass(frozen=True)
 class AuditTable:
     """The audits of a batch, on HullTable's convention.
@@ -78,15 +57,12 @@ def audit_one(shape_norm, case: TestCase, resistance: MlpModel,
     params = HullParams(case.loa, shape)
     if not validate(params).feasible:
         return None
-    depth = shape[1] * case.loa
-    tstar = case.draft / depth
+    beam_err, depth_err, tstar = case.dimension_errors(shape)
     if tstar > 1.0:   # the target draft cannot submerge past the deck
         return None
 
     vol, sa, wl = measure_at(params, tstar)
     vol_err = (vol * case.loa**3 - case.volume) / case.volume
-    beam_err = (shape[0] * case.loa - case.boa) / case.boa
-    depth_err = (depth - case.depth) / case.depth
 
     cond = FlowCondition(speed=case.speed, loa=case.loa, tstar=tstar)
     with warnings.catch_warnings():
@@ -121,20 +97,17 @@ def audit_samples(shapes_norm, case: TestCase, resistance: MlpModel,
 
 
 def audit_stats(audits: AuditTable) -> dict:
-    """Feasibility rate, error moments, and the in-band volume fraction, in
-    the column order of the evaluation summary."""
+    """Feasibility rate, error moments, and the share of all hulls that are
+    feasible and within VOLUME_BAND of the target volume, in the column
+    order of the evaluation summary."""
     n = audits.feasible.size
-    rate = audits.vol_err.size / n if n else 0.0
-    stats = {"n": n, "feasibility_rate": rate}
+    stats = {"n": n, "feasibility_rate": audits.vol_err.size / n if n else 0.0}
     for name in ("vol_err", "beam_err", "depth_err"):
         vals = getattr(audits, name)
         stats[f"{name}_mean"] = float(vals.mean()) if vals.size else math.nan
         stats[f"{name}_std"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-    if audits.vol_err.size:
-        stats["volume_in_band"] = volume_error_fraction(
-            rate, stats["vol_err_mean"], stats["vol_err_std"])
-    else:
-        stats["volume_in_band"] = 0.0
+    in_band = np.count_nonzero(np.abs(audits.vol_err) <= VOLUME_BAND)
+    stats["volume_in_band"] = in_band / n if n else 0.0
     return stats
 
 
@@ -205,7 +178,6 @@ class ComparisonReport:
     counts: dict                 # tolerance band -> count of lower-R_T hulls
     sample_min_rt: float | None  # min simulated R_T inside the 5% band
     delta_rt: float | None       # (sample_min - nsga_min) / nsga_min
-    n_feasible: int
 
 
 def compare(sampled: AuditTable, nsga: AuditTable) -> ComparisonReport:
@@ -227,5 +199,4 @@ def compare(sampled: AuditTable, nsga: AuditTable) -> ComparisonReport:
     delta = (None if sample_min is None or math.isinf(nsga_min)
              else (sample_min - nsga_min) / nsga_min)
     return ComparisonReport(nsga_min_rt=nsga_min, counts=counts,
-                            sample_min_rt=sample_min, delta_rt=delta,
-                            n_feasible=rt.size)
+                            sample_min_rt=sample_min, delta_rt=delta)

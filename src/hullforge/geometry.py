@@ -26,7 +26,9 @@ representable for verification.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -453,20 +455,9 @@ def centerplane_slopes(params: HullParams, tstar: float, nx: int, nz: int) -> Sl
 
 
 # ---------------------------------------------------------------------------
-# CSV row form: loa followed by the 13 named shape parameters.
+# CSV tables: hull files lead each row with loa and the 13 shape parameters.
 
 HULL_FIELDS = ("loa",) + SHAPE_NAMES
-
-
-def hull_to_row(params: HullParams) -> list:
-    return [float(params.loa)] + [float(v) for v in params.shape]
-
-
-def hull_from_row(values) -> HullParams:
-    vals = [float(v) for v in values]
-    if len(vals) != 1 + N_SHAPE:
-        raise RepresentationError(f"hull row needs {1 + N_SHAPE} values, got {len(vals)}")
-    return HullParams(vals[0], np.array(vals[1:]))
 
 
 def write_csv(path, header, rows) -> None:
@@ -479,25 +470,59 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
-def write_hull_csv(path, hulls) -> None:
-    write_csv(path, HULL_FIELDS, (hull_to_row(h) for h in hulls))
+def write_hull_csv(path, loa, shapes, **extra) -> None:
+    """One row per hull: its LOA (one ``loa`` serves every row), the (n, 13)
+    ``shapes`` row, then the named (n,) ``extra`` columns."""
+    if np.shape(shapes)[1:] != (N_SHAPE,):
+        raise RepresentationError(f"hull rows need {N_SHAPE} shape parameters, "
+                                  f"got shapes of shape {np.shape(shapes)}")
+    write_csv(path, HULL_FIELDS + tuple(extra),
+              np.column_stack([np.broadcast_to(loa, len(shapes)), shapes,
+                               *extra.values()]))
 
 
-def read_hull_csv(path) -> list:
-    """The hulls of a CSV whose header starts with HULL_FIELDS; the columns
-    after them are checked for count only."""
+def write_flagged_csv(path, header, flags, values, lead=None) -> None:
+    """A table on HullTable's and AuditTable's convention: each row's
+    ``lead`` cells, if given, then its flag, then under a set flag the next
+    row of ``values`` and under a clear one blanks."""
+    rows = iter(values)
+    blank = [""] * values.shape[1]
+    write_csv(path, header,
+              ([*cells, 1, *next(rows)] if flag else [*cells, 0, *blank]
+               for cells, flag in zip(repeat(()) if lead is None else lead, flags)))
+
+
+def read_hull_rows(path, header, parse_tail) -> tuple:
+    """(loa, shapes, tails) of the CSV file ``path`` with the columns
+    ``header``, which start with HULL_FIELDS: the (n,) LOA and (n, 13) shape
+    arrays, whose cells must be finite floats, and ``parse_tail`` of each
+    row's cells after them.  A malformed row, or a ValueError of
+    ``parse_tail``, raises RepresentationError naming the file and the line."""
+    nh = len(HULL_FIELDS)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if tuple(header[:len(HULL_FIELDS)]) != HULL_FIELDS:
+        if tuple(next(reader, ())) != header:
             raise RepresentationError(f"unexpected hull CSV header in {path}")
-        hulls = []
+        hulls, tails = [], []
         try:
             for row in reader:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} cells, expected {len(header)}")
-                hulls.append(hull_from_row(row[:len(HULL_FIELDS)]))
+                hull = [float(v) for v in row[:nh]]
+                if not all(map(math.isfinite, hull)):
+                    raise ValueError("non-finite hull parameter")
+                tails.append(parse_tail(row[nh:]))
+                hulls.append(hull)
         except ValueError as exc:
             raise RepresentationError(
                 f"bad hull row on line {reader.line_num} ({exc}): {path}") from None
-    return hulls
+    hulls = np.array(hulls).reshape(-1, nh)
+    return hulls[:, 0], hulls[:, 1:], tails
+
+
+def read_hull_csv(path, *extra) -> tuple:
+    """(loa, shapes, *columns) of a file write_hull_csv wrote with the
+    ``extra`` columns named here, each column an (n,) array."""
+    loa, shapes, tails = read_hull_rows(path, HULL_FIELDS + extra,
+                                        lambda cells: [float(v) for v in cells])
+    return (loa, shapes, *np.array(tails).reshape(loa.size, len(extra)).T)

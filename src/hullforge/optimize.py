@@ -35,6 +35,9 @@ SBX_ETA = 15.0
 MUTATION_ETA = 20.0
 CROSSOVER_PROB = 0.9
 VOLUME_NZ, VOLUME_NX = 160, 192   # volume_at stations of the volume constraint
+BEAM_TOLERANCE = 0.02    # allowed |relative beam error|
+DEPTH_TOLERANCE = 0.01   # allowed |relative depth error|
+VOLUME_FLOOR = 0.99      # least displaced volume, as a share of the target
 
 
 @dataclass
@@ -229,9 +232,10 @@ def evaluate_individual(x_norm, case: TestCase, resistance: MlpModel,
     """Surrogate objective (R_T,) and total constraint violation.
 
     The draft is held at the case target, so t* = T / (depth_ratio * LOA)
-    varies with the candidate's depth.  Violations: beam outside 2% of
-    target, depth outside 1%, exact volume below 99% of target, any
-    algebraic feasibility residual, and drafts past the deck.
+    varies with the candidate's depth.  Violations: beam and depth errors
+    past BEAM_TOLERANCE and DEPTH_TOLERANCE, exact volume below VOLUME_FLOOR
+    of the target, any algebraic feasibility residual, and drafts past the
+    deck.
     """
     x_norm = np.asarray(x_norm, dtype=float)
     shape = normalizer.denormalize(x_norm)
@@ -239,19 +243,16 @@ def evaluate_individual(x_norm, case: TestCase, resistance: MlpModel,
     report = validate(params)
     violation = sum(res for _name, res in report.violations)
 
-    beam = shape[0] * case.loa
-    depth = shape[1] * case.loa
-    violation += max(0.0, abs(beam - case.boa) / case.boa - 0.02)
-    violation += max(0.0, abs(depth - case.depth) / case.depth - 0.01)
-
-    tstar = case.draft / max(depth, 1e-9)
+    beam_err, depth_err, tstar = case.dimension_errors(shape)
+    violation += max(0.0, abs(beam_err) - BEAM_TOLERANCE)
+    violation += max(0.0, abs(depth_err) - DEPTH_TOLERANCE)
     if tstar > 1.0:
         violation += tstar - 1.0
         tstar = 1.0
 
     if report.feasible:
         vol = measure_at(params, tstar, nz=VOLUME_NZ, nx=VOLUME_NX) * case.loa**3
-        violation += max(0.0, 0.99 - vol / case.volume)
+        violation += max(0.0, VOLUME_FLOOR - vol / case.volume)
 
     r_t = surrogate_total_resistance(resistance, waterline, x_norm, tstar,
                                      case.speed, case.loa)

@@ -33,8 +33,8 @@ from .diffusion import (ConditioningVector, GuidanceModels, NoiseSchedule,
 from .errors import ConfigurationError, DependencyError
 from .evaluate import (AUDIT_COLUMNS, TOLERANCE_BANDS, audit_samples,
                        audit_stats, compare, fit_pca2, kde)
-from .geometry import (HULL_FIELDS, HullParams, hull_to_row, read_hull_csv,
-                       write_csv, write_hull_csv)
+from .geometry import (read_hull_csv, write_csv, write_flagged_csv,
+                       write_hull_csv)
 from .neural import (TrainConfig, accuracy, load_weights, r_squared,
                      save_weights, train_classifier, train_regressor)
 from .optimize import make_hull_problem, nsga2
@@ -435,7 +435,7 @@ def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
 
     target = out_dir / "samples" / case_name / mode
     with _lock(out_dir), _atomic_dir(target) as tmp:
-        write_hull_csv(tmp / "hulls.csv", [HullParams(case.loa, s) for s in shapes])
+        write_hull_csv(tmp / "hulls.csv", case.loa, shapes)
         write_meta(tmp / "provenance.meta", {
             "case": case_name, "mode": mode, "n": n, "seed": seed,
             "gamma": gamma, "lambda0": lam0, "lambda1": lam1,
@@ -477,13 +477,10 @@ def cmd_optimize(cfg: PipelineConfig, out_dir, case_name: str,
                   ("gen", "n_feasible", "best_rt", "mean_rt", "mean_violation"),
                   [(h["gen"], h["n_feasible"], h["best_rt"], h["mean_rt"],
                     h["mean_violation"]) for h in history])
-        rows = []
-        for ind in pop:
-            shape = normalizer.denormalize(ind.x)
-            rows.append(hull_to_row(HullParams(case.loa, shape))
-                        + [float(ind.objectives[0]), float(ind.violation)])
-        write_csv(tmp / "population.csv",
-                  HULL_FIELDS + ("pred_rt", "violation"), rows)
+        write_hull_csv(tmp / "population.csv", case.loa,
+                       normalizer.denormalize(np.array([ind.x for ind in pop])),
+                       pred_rt=np.array([ind.objectives[0] for ind in pop]),
+                       violation=np.array([ind.violation for ind in pop]))
         write_meta(tmp / "optimize.meta", {
             "case": case_name, "seed": seed, "population": cfg.population,
             "generations": cfg.generations,
@@ -492,10 +489,10 @@ def cmd_optimize(cfg: PipelineConfig, out_dir, case_name: str,
     return target
 
 
-def _read_vectors(path: Path, hint: str, normalizer):
-    """The normalized shapes of a hull CSV that ``hint`` writes."""
-    hulls = read_hull_csv(_require(path, hint))
-    return normalizer.normalize(np.array([h.shape for h in hulls]))
+def _read_vectors(path: Path, hint: str, normalizer, *extra):
+    """The normalized shapes of a hull CSV that ``hint`` writes with the
+    ``extra`` columns."""
+    return normalizer.normalize(read_hull_csv(_require(path, hint), *extra)[1])
 
 
 def _pearson(a, b) -> float:
@@ -517,7 +514,8 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
                                    normalizer)
                for mode in SAMPLE_MODES}
     vectors["nsga2"] = _read_vectors(out_dir / "optimize" / case_name / "population.csv",
-                                     f"optimize --case {case_name}", normalizer)
+                                     f"optimize --case {case_name}", normalizer,
+                                     "pred_rt", "violation")
     arms = {arm: audit_samples(vec, case, models.resistance, models.waterline,
                                normalizer, n_theta=cfg.theta_nodes,
                                plane_nx=cfg.plane_nx, plane_nz=cfg.plane_nz)
@@ -526,13 +524,11 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
 
     target = out_dir / "evaluate" / case_name
     with _lock(out_dir), _atomic_dir(target) as tmp:
-        blank = [""] * len(AUDIT_COLUMNS)
         summary_rows = []
         for mode, audits in arms.items():
-            values = iter(np.column_stack([getattr(audits, c) for c in AUDIT_COLUMNS]))
-            write_csv(tmp / f"audit_{mode}.csv", ("feasible", *AUDIT_COLUMNS),
-                      ([1, *next(values)] if feas else [0, *blank]
-                       for feas in audits.feasible))
+            write_flagged_csv(tmp / f"audit_{mode}.csv", ("feasible", *AUDIT_COLUMNS),
+                              audits.feasible,
+                              np.column_stack([getattr(audits, c) for c in AUDIT_COLUMNS]))
             summary_rows.append((mode, *audit_stats(audits).values()))
             if audits.simulated_rt.size >= 2:
                 grid, density = kde(audits.simulated_rt)

@@ -7,50 +7,11 @@ from hullforge.config import TestCase
 from hullforge.errors import DegeneracyError, DomainError
 from hullforge.evaluate import (AUDIT_COLUMNS, AuditTable, audit_one,
                                 audit_samples, audit_stats, compare, fit_pca2,
-                                kde, volume_error_fraction)
+                                kde)
 from hullforge.geometry import measure_at
 from hullforge.neural import init_mlp
 from hullforge.optimize import evaluate_individual
 from conftest import make_hull
-
-
-def _phi(x):
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def test_volume_error_fraction_degenerate():
-    assert volume_error_fraction(1.0, 0.0, 0.0) == 1.0
-    assert volume_error_fraction(1.0, 0.06, 0.0) == 0.0
-    assert volume_error_fraction(0.4, 0.0, 0.0) == pytest.approx(0.4)
-
-
-def test_volume_error_fraction_unit_sigma_band():
-    got = volume_error_fraction(1.0, 0.0, 0.05)
-    assert got == pytest.approx(_phi(1.0) - _phi(-1.0), rel=1e-12)
-    assert got == pytest.approx(0.682689, abs=1e-6)
-
-
-def test_volume_error_fraction_reported_operating_point():
-    # feasibility 88.28%, mean error 2.53%, spread 5.97%
-    got = volume_error_fraction(0.8828, 0.0253, 0.0597)
-    oracle = 0.8828 * (_phi((0.05 - 0.0253) / 0.0597)
-                       - _phi((-0.05 - 0.0253) / 0.0597))
-    assert got == pytest.approx(oracle, rel=1e-12)
-    assert got == pytest.approx(0.49161, abs=2e-4)   # frozen regression value
-
-
-def test_volume_error_fraction_rejects_negative_sigma():
-    with pytest.raises(DomainError):
-        volume_error_fraction(1.0, 0.0, -0.1)
-
-
-def test_volume_error_fraction_matches_empirical():
-    rng = np.random.default_rng(0)
-    mu, sigma = 0.01, 0.04
-    sample = rng.normal(mu, sigma, 4096)
-    empirical = np.mean(np.abs(sample) <= 0.05)
-    assert volume_error_fraction(1.0, mu, sigma) == pytest.approx(empirical,
-                                                                  abs=0.05)
 
 
 # -- PCA ----------------------------------------------------------------------
@@ -219,6 +180,21 @@ def test_optimizer_and_audit_share_the_surrogate(audit_env):
     assert objs[0] == audit[AUDIT_COLUMNS.index("surrogate_rt")]
 
 
+def test_audit_takes_its_dimension_errors_from_the_case(audit_env):
+    """The audit reports TestCase.dimension_errors, the errors the
+    optimizer's beam and depth constraints are built on."""
+    normalizer, resistance, waterline = audit_env
+    case = _case_for(make_hull(40.0))
+    x = normalizer.normalize(make_hull(40.0, beam_ratio=0.3, depth_ratio=0.15).shape)
+    audit = audit_one(x, case, resistance, waterline, normalizer,
+                      n_theta=32, plane_nx=32, plane_nz=8)
+    beam_err, depth_err, tstar = case.dimension_errors(normalizer.denormalize(x))
+    assert audit[1:3] == (beam_err, depth_err)
+    assert beam_err == pytest.approx(0.3 / 0.26 - 1.0, rel=1e-3)
+    assert depth_err == pytest.approx(0.15 / 0.16 - 1.0, rel=1e-3)
+    assert tstar == pytest.approx(0.5 * 0.16 / 0.15, rel=1e-3)
+
+
 def _table(feasible, rows):
     """An AuditTable from the feasibility mask and the feasible rows'
     AUDIT_COLUMNS values."""
@@ -234,6 +210,7 @@ def test_audit_stats_and_band(audit_env):
     assert stats["feasibility_rate"] == pytest.approx(2 / 3)
     assert stats["vol_err_mean"] == pytest.approx(-0.01)
     assert 0.0 <= stats["volume_in_band"] <= stats["feasibility_rate"]
+    assert stats["volume_in_band"] == 2 / 3
 
 
 def _audits(*hulls):
@@ -271,6 +248,17 @@ def test_compare_needs_data():
         compare(_audits((1.0, 0.0)), _audits())
 
 
+def test_volume_in_band_counts_what_compare_counts():
+    """The summary's in-band share is the count behind compare's 5% band,
+    over every audited hull: against an optimizer with no feasible hull,
+    every feasible in-band sample counts."""
+    sampled = _audits((9.0, 0.005), (8.0, -0.05), (7.0, 0.0500001), (6.0, -0.2),
+                      None, None, (5.0, 0.03), (4.0, 0.0))
+    in_band = compare(sampled, _audits(None)).counts[0.05]
+    assert in_band == 4
+    assert audit_stats(sampled)["volume_in_band"] == in_band / 8
+
+
 def test_compare_without_feasible_nsga_hull():
     """An optimizer population with no feasible audit loses to every
     feasible in-band sample; there is no relative gap to report."""
@@ -280,4 +268,3 @@ def test_compare_without_feasible_nsga_hull():
     assert report.counts == {0.01: 1, 0.05: 2, 0.10: 3}
     assert report.sample_min_rt == 8.0
     assert report.delta_rt is None
-    assert report.n_feasible == 4

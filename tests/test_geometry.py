@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from hullforge.errors import (DomainError, FeasibilityError,
                               RepresentationError)
-from hullforge.geometry import (DRAFT_MARKS, SHAPE_NAMES,
-                                HullParams, centerplane_slopes,
-                                half_breadth, hull_from_row, hull_to_row,
-                                measure_at, measure_curves,
-                                read_hull_csv, validate, volume_at,
-                                write_hull_csv)
+from hullforge.dataset import HullTable, read_dataset_csv, write_dataset_csv
+from hullforge.geometry import (DRAFT_MARKS, HULL_FIELDS, SHAPE_NAMES,
+                                HullParams, centerplane_slopes, half_breadth,
+                                measure_at, measure_curves, read_hull_csv,
+                                validate, volume_at, write_hull_csv)
 from conftest import make_hull
 
 
@@ -323,28 +322,75 @@ def test_residual_continuity(hull, idx, eps):
 
 # -- serialization ----------------------------------------------------------
 
-def test_hull_csv_roundtrip(tmp_path, reference_hull):
-    hulls = [reference_hull, make_hull(7.5, beam_ratio=0.3)]
+def _bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_hull_csv_roundtrip(tmp_path):
+    """A sample file (one LOA for every row) and a population file (its
+    own LOA per row, two extra columns) read back bit for bit."""
+    rng = np.random.default_rng(3)
+    shapes = rng.uniform(0.0, 1.0, (5, len(SHAPE_NAMES))) / 3.0
     path = tmp_path / "hulls.csv"
-    write_hull_csv(path, hulls)
-    back = read_hull_csv(path)
-    for a, b in zip(hulls, back):
-        assert a.loa == b.loa
-        assert np.array_equal(a.shape, b.shape)
+    write_hull_csv(path, 7.5, shapes)
+    loa, back = read_hull_csv(path)
+    assert _bitwise_equal(loa, np.full(5, 7.5)) and _bitwise_equal(back, shapes)
+
+    loas, pred_rt, violation = rng.uniform(2.0, 400.0, (3, 5))
+    violation[:2] = 0.0
+    path = tmp_path / "population.csv"
+    write_hull_csv(path, loas, shapes, pred_rt=pred_rt, violation=violation)
+    back = read_hull_csv(path, "pred_rt", "violation")
+    assert all(map(_bitwise_equal, back, (loas, shapes, pred_rt, violation)))
 
 
-@pytest.mark.parametrize("text", ["", "abc" + ",0.2" * 13 + "\n", "50.0,0.2\n"],
-                         ids=["empty", "non-numeric", "truncated"])
-def test_hull_csv_rejects_a_malformed_file(tmp_path, text):
+def _write_hull_file(path):
+    write_hull_csv(path, 50.0, make_hull().shape[None, :])
+
+
+def _write_dataset_file(path):
+    """A one-row dataset file: a feasible hull with zero curves and grid."""
+    hull, zeros = make_hull(), np.zeros((1, DRAFT_MARKS.size))
+    write_dataset_csv(HullTable(np.array([hull.loa]), hull.shape[None, :],
+                                np.array([True]), zeros, zeros, zeros,
+                                np.zeros((1, 4, 7))), path)
+
+
+HULL_READERS = {"hull": (_write_hull_file, read_hull_csv),
+                "dataset": (_write_dataset_file, read_dataset_csv)}
+# Ways to break a hull CSV, given its header and its first row's cells.
+MALFORMED_FILES = {
+    "empty": lambda header, cells: "",
+    "non-numeric": lambda header, cells: f"{header}\nabc,{','.join(cells[1:])}\n",
+    "truncated": lambda header, cells: f"{header}\n{','.join(cells[:-1])}\n",
+    "non-finite": lambda header, cells: f"{header}\n{cells[0]},inf,{','.join(cells[2:])}\n",
+}
+
+
+@pytest.mark.parametrize("reader, case", [
+    pytest.param(reader, case, id=case if reader == "hull" else f"{reader}-{case}")
+    for reader in HULL_READERS for case in MALFORMED_FILES])
+def test_hull_csv_rejects_a_malformed_file(tmp_path, reader, case):
+    """The sample, population and dataset readers share one row parser:
+    never float()'s bare ValueError, but an error that names the file and,
+    for a bad row, the line."""
+    write, read = HULL_READERS[reader]
     path = tmp_path / "hulls.csv"
-    write_hull_csv(path, [make_hull()])
-    path.write_text(text and path.read_text() + text)
-    with pytest.raises(RepresentationError, match=r"hulls\.csv"):
-        read_hull_csv(path)
+    write(path)
+    header, row = path.read_text().splitlines()
+    path.write_text(MALFORMED_FILES[case](header, row.split(",")))
+    with pytest.raises(RepresentationError,
+                       match=r"hulls\.csv" if case == "empty" else r"line 2 .*hulls\.csv"):
+        read(path)
 
 
-def test_hull_row_arity():
+def test_hull_row_arity(tmp_path):
+    """A hull row is the LOA and the 13 shape parameters, no more, no less."""
+    path = tmp_path / "hulls.csv"
     with pytest.raises(RepresentationError):
-        hull_from_row([1.0] * 5)
-    row = hull_to_row(make_hull())
-    assert len(row) == 14
+        write_hull_csv(path, 50.0, np.ones((1, 5)))
+    _write_hull_file(path)
+    header, row = path.read_text().splitlines()
+    assert header.split(",") == list(HULL_FIELDS) and len(row.split(",")) == 14
+    with pytest.raises(RepresentationError):
+        read_hull_csv(path, "pred_rt")
