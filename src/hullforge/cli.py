@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/configuration, 2 missing upstream artifact,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -66,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.__post_init__()
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 

@@ -3,8 +3,10 @@
 Config files are flat ``key = value`` text with ``[section]`` headers
 (parsed with :mod:`configparser`).  Every knob is a ``PipelineConfig``
 field that names its section and has a documented default; unknown
-sections or keys are rejected so typos fail loudly.  This module imports
-only ``errors``, so every other module can take shared defaults from it.
+sections or keys are rejected so typos fail loudly.  Settings that no
+caller varies (the holdout share, learning rate, beta range and embedding
+width) are module constants, not knobs.  This module imports only
+``errors``, so every other module can take shared defaults from it.
 """
 
 import configparser
@@ -40,6 +42,10 @@ TSTAR_RANGE = (0.25, 0.67)
 FROUDE_RANGE = (GRID_FROUDE[0], GRID_FROUDE[-1])
 LOG10_LOA_RANGE = (0.47, 2.65)
 LOA_RANGE = (3.0, 450.0)   # also the dataset's LOA draw and the feasibility box
+
+# Share of the feasible hulls held out of training (at least one): the
+# regressors' R^2 is measured on them.
+HOLDOUT_FRACTION = 0.125
 
 # Draft-ratio range used when conditioning the generative model.
 COND_TSTAR_RANGE = (0.01, 1.0)
@@ -121,12 +127,14 @@ def _knob(section: str, default):
     return field(default=default, metadata={"section": section})
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """Every tunable knob.  Frozen, so the checks of ``__post_init__`` hold
+    for the life of the object; derive a variant with ``dataclasses.replace``."""
+
     n_hulls: int = _knob("dataset", 4096)       # feasible hulls; as many infeasible vectors are added
     seed: int = _knob("dataset", 20240811)
     rows_per_hull: int = _knob("dataset", 128)  # resistance-training rows drawn per hull
-    holdout_fraction: float = _knob("dataset", 0.125)
     workers: int = _knob("dataset", 0)          # gen-dataset processes, train threads; 0 -> one per CPU
 
     theta_nodes: int = _knob("michell", THETA_NODES)
@@ -136,7 +144,6 @@ class PipelineConfig:
     hidden_layers: int = _knob("network", HIDDEN_LAYERS)
     hidden_units: int = _knob("network", HIDDEN_UNITS)
     batch_size: int = _knob("network", BATCH_SIZE)
-    learning_rate: float = _knob("network", LEARNING_RATE)
     resistance_steps: int = _knob("network", 20000)
     volume_steps: int = _knob("network", 8000)
     waterline_steps: int = _knob("network", 8000)
@@ -144,9 +151,6 @@ class PipelineConfig:
     diffusion_steps: int = _knob("network", 24000)
 
     timesteps: int = _knob("schedule", TIMESTEPS)
-    beta_start: float = _knob("schedule", BETA_START)
-    beta_end: float = _knob("schedule", BETA_END)
-    embed_dim: int = _knob("schedule", EMBED_DIM)
 
     gamma: float = _knob("guidance", 0.2)
     lambda0: float = _knob("guidance", 0.3)
@@ -171,12 +175,8 @@ class PipelineConfig:
             raise ConfigurationError("network batch size and step counts must be >= 1")
         if self.workers < 0:
             raise ConfigurationError("dataset.workers must be >= 0")
-        if not 0.0 < self.holdout_fraction < 0.5:
-            raise ConfigurationError("dataset.holdout_fraction must be in (0, 0.5)")
         if min(self.plane_nx, self.plane_nz) < 8:
             raise ConfigurationError("michell.plane_nx and plane_nz must be >= 8")
-        if self.embed_dim < 2 or self.embed_dim % 2:
-            raise ConfigurationError("schedule.embed_dim must be even and >= 2")
         if self.n_samples < 1:
             raise ConfigurationError("sampling.n_samples must be >= 1")
         if self.population < 4:
@@ -213,9 +213,7 @@ def load_config(path) -> PipelineConfig:
     read = parser.read(str(path))
     if not read:
         raise ConfigurationError(f"config file not found: {path}")
-    cfg = PipelineConfig()
-    cases = dict(cfg.cases)
-
+    values, cases = {}, default_cases()
     for section in parser.sections():
         if section.startswith("case:"):
             name = section.split(":", 1)[1]
@@ -234,11 +232,8 @@ def load_config(path) -> PipelineConfig:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigurationError(f"unknown config key {section}.{key}")
-            setattr(cfg, key, _parse(section, key, _SCHEMA[section][key].type, raw))
-
-    cfg.cases = cases
-    cfg.__post_init__()
-    return cfg
+            values[key] = _parse(section, key, _SCHEMA[section][key].type, raw)
+    return PipelineConfig(**values, cases=cases)
 
 
 def dump_config(cfg: PipelineConfig) -> str:

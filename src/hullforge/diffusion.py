@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import (BETA_END, BETA_START, COND_TSTAR_RANGE, EMBED_DIM, HIDDEN,
                      TIMESTEPS, TestCase)
-from .dataset import StackedDataset, _interp_marks, surrogate_rows
+from .dataset import _interp_marks, surrogate_rows
 from .errors import (ConfigurationError, DomainError, RepresentationError,
                      TrainingError)
 from .neural import (Adam, MlpModel, TrainConfig, _loss_and_delta, init_mlp,
@@ -68,13 +68,12 @@ class NoiseSchedule:
         return float(self._sigmas[t - 1])
 
 
-def linear_schedule(timesteps: int = TIMESTEPS, beta_start: float = BETA_START,
-                    beta_end: float = BETA_END) -> NoiseSchedule:
-    """Linear beta schedule; the stated range is for 1000 steps and is
-    rescaled by 1000/T for other step counts so the terminal noise level
-    stays comparable."""
+def linear_schedule(timesteps: int = TIMESTEPS) -> NoiseSchedule:
+    """Linear beta schedule from BETA_START to BETA_END; the range is stated
+    for 1000 steps and is rescaled by 1000/T for other step counts so the
+    terminal noise level stays comparable."""
     scale = 1000.0 / timesteps
-    return NoiseSchedule(np.linspace(scale * beta_start, scale * beta_end,
+    return NoiseSchedule(np.linspace(scale * BETA_START, scale * BETA_END,
                                      timesteps))
 
 
@@ -186,7 +185,7 @@ def train_denoiser(draw_batch, x_dim: int, cond_dim: int, sched: NoiseSchedule,
     model = init_denoiser(x_dim, cond_dim, sched, hidden, embed_dim, cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 404]))
     params = [*model.mlp.weights, *model.mlp.biases, model.cond_w, model.cond_b]
-    opt = Adam(params, lr=cfg.learning_rate)
+    opt = Adam(params)
     for step in range(cfg.steps):
         x0, cond = draw_batch(rng, cfg.batch_size)
         t = rng.integers(1, sched.timesteps + 1, x0.shape[0])
@@ -213,8 +212,6 @@ def train_diffusion(data, sched: NoiseSchedule, cfg: TrainConfig,
     Each batch item pairs a normalized design vector with a conditioning
     vector assembled at a random draft: [t*, log10 V(t*), beam, depth].
     """
-    if not isinstance(data, StackedDataset):
-        raise RepresentationError("train_diffusion expects a StackedDataset")
     if data.n < 1:
         raise TrainingError("diffusion training needs at least one feasible record")
     beam = data.shapes[:, 0]
@@ -262,6 +259,9 @@ def sample_guided(models: GuidanceModels, cond: ConditioningVector,
     if lambda1 > 0 and models.volume is None:
         raise ConfigurationError("lambda1 > 0 needs a volume model")
     den = models.denoiser
+    if den.timesteps != sched.timesteps:
+        raise ConfigurationError(f"denoiser was trained on a {den.timesteps}-step "
+                                 f"schedule, asked to sample on {sched.timesteps} steps")
     rng = np.random.default_rng(seed)
     if n == 0:
         return np.zeros((0, den.x_dim))

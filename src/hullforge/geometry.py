@@ -104,12 +104,6 @@ class HullParams:
             raise AttributeError(name)
         return self.shape[SHAPE_NAMES.index(name)]
 
-    def with_shape(self, **updates) -> "HullParams":
-        arr = self.shape.copy()
-        for key, val in updates.items():
-            arr[SHAPE_NAMES.index(key)] = val
-        return HullParams(self.loa, arr)
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:

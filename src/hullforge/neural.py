@@ -142,7 +142,6 @@ def init_mlp(in_dim: int, hidden: tuple, out_dim: int, head: str,
 class TrainConfig:
     batch_size: int = BATCH_SIZE
     steps: int = 20000
-    learning_rate: float = LEARNING_RATE
     seed: int = 0
 
     def __post_init__(self):
@@ -158,11 +157,11 @@ class TrainResult:
 
 
 class Adam:
-    """Per-parameter adaptive steps; operates on a flat list of arrays."""
+    """Per-parameter adaptive steps at LEARNING_RATE; operates on a flat
+    list of arrays."""
 
-    def __init__(self, params, lr=1e-3):
+    def __init__(self, params):
         self.params = params
-        self.lr = lr
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -176,7 +175,7 @@ class Adam:
             m += (1.0 - ADAM_B1) * g
             v *= ADAM_B2
             v += (1.0 - ADAM_B2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+            p -= LEARNING_RATE * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 def _loss_and_delta(z, yb, kind):
@@ -203,7 +202,7 @@ def _train(model: MlpModel, x, y, cfg: TrainConfig, loss_kind: str) -> TrainResu
     if x.shape[0] != y.shape[0] or x.shape[0] < 1:
         raise TrainingError("training arrays must share a positive row count")
     rng = np.random.default_rng(cfg.seed)
-    opt = Adam([*model.weights, *model.biases], lr=cfg.learning_rate)
+    opt = Adam([*model.weights, *model.biases])
     nw = len(model.weights)
     history = []
     loss = float("nan")

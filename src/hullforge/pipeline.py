@@ -21,15 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import PipelineConfig, TestCase, WaterConstants, config_hash
+from .config import (HOLDOUT_FRACTION, PipelineConfig, TestCase, WaterConstants,
+                     config_hash)
 from .dataset import (build_dataset, classifier_rows, fit_normalizer,
                       geometry_rows, load_normalizer, pool_map,
                       read_dataset_csv, read_meta, resistance_rows,
                       save_normalizer, stack_records, write_dataset_csv,
                       write_meta)
-from .diffusion import (ConditioningVector, GuidanceModels, NoiseSchedule,
-                        linear_schedule, load_denoiser, sample_guided,
-                        save_denoiser, train_diffusion)
+from .diffusion import (ConditioningVector, GuidanceModels, linear_schedule,
+                        load_denoiser, sample_guided, save_denoiser,
+                        train_diffusion)
 from .errors import ConfigurationError, DependencyError
 from .evaluate import (AUDIT_COLUMNS, TOLERANCE_BANDS, audit_samples,
                        audit_stats, compare, fit_pca2, kde)
@@ -192,15 +193,11 @@ def _load_dataset(out_dir: Path):
     return table, normalizer
 
 
-def _schedule(cfg: PipelineConfig) -> NoiseSchedule:
-    return linear_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
-
-
-def _split_records(n_feasible: int, holdout_fraction, seed):
+def _split_records(n_feasible: int, seed):
     """Ascending (training, held-out) indices among the feasible rows: the
-    held-out ones are the first ``holdout_fraction`` of a permutation."""
+    held-out ones are the first ``HOLDOUT_FRACTION`` of a permutation."""
     rng = np.random.default_rng(_seed_int(seed, 11))
-    n_hold = max(1, int(n_feasible * holdout_fraction))
+    n_hold = max(1, int(n_feasible * HOLDOUT_FRACTION))
     held = np.sort(rng.permutation(n_feasible)[:n_hold])
     return np.setdiff1d(np.arange(n_feasible), held), held
 
@@ -221,14 +218,12 @@ def _train_jobs(cfg: PipelineConfig, which: str, table, normalizer) -> list[_Tra
     The rows are drawn in one fixed order (resistance, then geometry from
     the same generator, then classifier), whatever order the jobs run in.
     """
-    train_rows, held_rows = _split_records(int(table.feasible.sum()),
-                                           cfg.holdout_fraction, cfg.seed)
+    train_rows, held_rows = _split_records(int(table.feasible.sum()), cfg.seed)
     data = stack_records(table, train_rows, normalizer)
     jobs = []
 
     def add(name, tag, steps, *inputs):
         tc = TrainConfig(batch_size=cfg.batch_size, steps=steps,
-                         learning_rate=cfg.learning_rate,
                          seed=_seed_int(cfg.seed, tag))
         jobs.append(_TrainJob(name, tc, inputs))
 
@@ -252,7 +247,7 @@ def _train_jobs(cfg: PipelineConfig, which: str, table, normalizer) -> list[_Tra
             *classifier_rows(table, train_rows, normalizer))
 
     if which in ("diffusion", "all"):
-        add("denoiser", 5, cfg.diffusion_steps, data, _schedule(cfg))
+        add("denoiser", 5, cfg.diffusion_steps, data, linear_schedule(cfg.timesteps))
 
     # longest first, so the workers finish close together
     return sorted(jobs, key=lambda job: -job.tc.steps)
@@ -265,8 +260,7 @@ def _train_one(job: _TrainJob, cfg: PipelineConfig, out: Path):
     path = out / MODEL_FILES[job.name]
     if job.name == "denoiser":
         data, sched = job.inputs
-        save_denoiser(train_diffusion(data, sched, job.tc, hidden=hidden,
-                                      embed_dim=cfg.embed_dim), path)
+        save_denoiser(train_diffusion(data, sched, job.tc, hidden=hidden), path)
         return None
     train = train_classifier if job.name == "classifier" else train_regressor
     res = train(*job.inputs[:2], job.tc, hidden=hidden)
@@ -428,7 +422,7 @@ def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
                      SAMPLE_MODES.index(mode)) if seed is None else seed
 
     cond = ConditioningVector.from_case(case)
-    sched = _schedule(cfg)
+    sched = linear_schedule(cfg.timesteps)
     vectors = sample_guided(models, cond, case.speed, case.loa, n, gamma=gamma,
                             lambda0=lam0, lambda1=lam1, sched=sched, seed=seed)
     shapes = normalizer.denormalize(vectors)

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,6 @@ diffusion_steps = 40
 
 [schedule]
 timesteps = 40
-embed_dim = 8
 
 [sampling]
 n_samples = 6
@@ -87,12 +86,19 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.timesteps == 40
     assert config_hash(cfg) == config_hash(load_config(path))
     assert "n_hulls = 4" in dump_config(cfg)
+    with pytest.raises(FrozenInstanceError):
+        cfg.seed = 78
 
 
-def test_load_config_rejects_unknown_key(tmp_path):
+# a typo, and the five settings that are config.py constants, not keys
+@pytest.mark.parametrize("section, key", [
+    ("dataset", "banana"), ("dataset", "holdout_fraction"),
+    ("network", "learning_rate"), ("schedule", "beta_start"),
+    ("schedule", "beta_end"), ("schedule", "embed_dim")])
+def test_load_config_rejects_unknown_key(tmp_path, section, key):
     path = tmp_path / "bad.cfg"
-    path.write_text("[dataset]\nn_hulls = 4\nbanana = 1\n")
-    with pytest.raises(ConfigurationError, match="dataset.banana"):
+    path.write_text(f"[{section}]\n{key} = 1\n")
+    with pytest.raises(ConfigurationError, match=f"unknown config key {section}.{key}"):
         load_config(path)
 
 
@@ -141,9 +147,9 @@ def test_smoke_config_is_small():
 def test_bundled_config_files_match_the_code_defaults():
     configs = Path(__file__).resolve().parent.parent / "configs"
     assert config_hash(load_config(configs / "smoke.cfg")) \
-        == config_hash(smoke_config()) == "65ca58a9db3536f9"
+        == config_hash(smoke_config()) == "6523a304ef680c27"
     assert config_hash(load_config(configs / "desk.cfg")) \
-        == config_hash(PipelineConfig()) == "1047a40932f14dc1"
+        == config_hash(PipelineConfig()) == "95c64b9a45deda37"
 
 
 def test_every_knob_round_trips_through_its_one_section(tmp_path):
@@ -166,9 +172,9 @@ def test_every_knob_round_trips_through_its_one_section(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("key, value", [("embed_dim", 7), ("population", 3),
-                                        ("plane_nx", 4), ("seed", "-1"),
-                                        ("n_samples", 0), ("n_hulls", 1)])
+@pytest.mark.parametrize("key, value", [("population", 3), ("plane_nx", 4),
+                                        ("seed", "-1"), ("n_samples", 0),
+                                        ("n_hulls", 1)])
 def test_cli_rejects_a_bad_value_before_any_work(tmp_path, capsys, key, value):
     path = micro_config(tmp_path)
     path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", path.read_text(),
@@ -505,6 +511,21 @@ def test_cli_sample_parses_only_the_models_its_mode_uses(tmp_path):
     assert main([*sample, "--mode", "full"]) == 1
     resistance.unlink()
     assert main([*sample, "--mode", "unguided"]) == 2
+
+
+def test_cli_sample_rejects_a_schedule_other_than_the_denoisers(micro_models,
+                                                                tmp_path, capsys):
+    """A denoiser trained on the micro config's 40 steps is not sampled on
+    a 60-step schedule: exit 1, naming both counts, and no samples."""
+    out = tmp_path / "out"
+    shutil.copytree(micro_models[1], out)
+    path = micro_config(tmp_path)
+    path.write_text(path.read_text().replace("timesteps = 40", "timesteps = 60"))
+    assert main(["sample", "--case", "kayak", "--mode", "unguided",
+                 "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "40-step" in err and "60 steps" in err
+    assert not (out / "samples").exists()
 
 
 # -- parsed-model memo ----------------------------------------------------------

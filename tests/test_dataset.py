@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hullforge.config import (FROUDE_RANGE, GRID_FROUDE, WaterConstants,
-                              default_cases)
+from hullforge.config import (FROUDE_RANGE, GRID_FROUDE, HOLDOUT_FRACTION,
+                              WaterConstants, default_cases)
 from hullforge.dataset import (DATASET_FIELDS, HullTable, build_dataset,
                                classifier_rows, fit_normalizer, geometry_rows,
                                load_normalizer, pool_map, read_dataset_csv, read_meta,
@@ -418,8 +418,8 @@ def test_classifier_rows_balanced(mini_table, mini_normalizer):
 @pytest.mark.parametrize("n", [1, 7, 64, 4096])
 def test_split_indices_match_the_benchmark_holdout(n):
     """The held-out rows are the ones benchmark/checks.py recomputes on its own."""
-    train, held = _split_records(n, 0.125, 7)
-    assert held.tolist() == bench_checks.holdout_indices(n, 0.125, 7)
+    train, held = _split_records(n, 7)
+    assert held.tolist() == bench_checks.holdout_indices(n, HOLDOUT_FRACTION, 7)
     assert np.all(np.diff(train) > 0)
     assert sorted([*train, *held]) == list(range(n))
 

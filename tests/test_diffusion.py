@@ -86,8 +86,7 @@ def _toy_batch(rng, size):
 def test_toy_conditional_recovery():
     sched = linear_schedule(200)
     model = train_denoiser(_toy_batch, x_dim=2, cond_dim=1, sched=sched,
-                           cfg=TrainConfig(batch_size=128, steps=3000,
-                                           learning_rate=1e-3, seed=3),
+                           cfg=TrainConfig(batch_size=128, steps=3000, seed=3),
                            hidden=(64, 64), embed_dim=16)
     models = GuidanceModels(denoiser=model)
     cond = ConditioningVector(tstar=0.5, log_v=0.0, beam_ratio=0.1,

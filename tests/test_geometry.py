@@ -298,7 +298,9 @@ def test_monotone_and_bounded_measures(hull):
 @settings(max_examples=10, deadline=None)
 @given(hull=feasible_shapes, c=st.floats(0.2, 1.8))
 def test_beam_linearity(hull, c):
-    scaled = hull.with_shape(beam_ratio=c * hull.beam_ratio)
+    shape = hull.shape.copy()
+    shape[0] = c * hull.beam_ratio   # shape[0] is the beam ratio
+    scaled = HullParams(hull.loa, shape)
     if not validate(scaled).feasible:
         return
     a = measure_curves(hull)
@@ -315,7 +317,9 @@ def test_beam_linearity(hull, c):
        eps=st.floats(1e-7, 1e-5))
 def test_residual_continuity(hull, idx, eps):
     base = validate(hull).residuals
-    bumped = validate(hull.with_shape(**{SHAPE_NAMES[idx]: hull.shape[idx] + eps}))
+    shape = hull.shape.copy()
+    shape[idx] += eps
+    bumped = validate(HullParams(hull.loa, shape))
     for key, val in bumped.residuals.items():
         assert abs(val - base[key]) <= 2.0 * eps + 1e-12
 

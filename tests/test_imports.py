@@ -14,14 +14,22 @@ function that only tests call is a second implementation to keep in step.
 Every module-level ``def``, ``class`` or assignment in the package is
 read somewhere outside the tests: the name appears on another line of its
 module, in another package module, in ``scripts/`` or in ``benchmark/``.
+
+Every ``PipelineConfig`` knob has a second value in use: it differs
+between ``smoke_config()`` and ``PipelineConfig()``, or ``scripts/`` or
+``benchmark/`` pass it as a keyword.  A knob with one value is an option
+no run exercises; it belongs in ``config.py`` as a constant.
 """
 
 import ast
 import re
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from hullforge.config import PipelineConfig, smoke_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hullforge"
@@ -123,3 +131,30 @@ def test_module_level_names_are_read(module):
     others += [p.read_text() for d in ("scripts", "benchmark")
                for p in (ROOT / d).glob("*.py")]
     assert unread_names(source, others) == []
+
+
+# The paper's guidance weights stay knobs with one value in use: they are
+# what a sampling study varies.
+GUIDANCE_WEIGHTS = {"gamma", "lambda0", "lambda1"}
+
+
+def one_value_knobs(configs, sources) -> list:
+    """Knobs (fields with a config section) equal in every config of
+    ``configs`` that no text in ``sources`` passes as ``name=``."""
+    return sorted(f.name for f in fields(PipelineConfig) if "section" in f.metadata
+                  and len({getattr(c, f.name) for c in configs}) == 1
+                  and not any(re.search(rf"\b{f.name}=", text) for text in sources))
+
+
+def test_check_finds_a_one_value_knob():
+    found = one_value_knobs([PipelineConfig(), PipelineConfig(seed=1)],
+                            ["run(workers=2)", "n_hulls = 3"])
+    assert "n_hulls" in found
+    assert "seed" not in found and "workers" not in found
+
+
+def test_every_knob_has_a_second_value_in_use():
+    sources = [p.read_text() for d in ("scripts", "benchmark")
+               for p in (ROOT / d).glob("*.py")]
+    found = one_value_knobs([PipelineConfig(), smoke_config()], sources)
+    assert sorted(set(found) - GUIDANCE_WEIGHTS) == []

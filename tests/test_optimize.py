@@ -302,8 +302,9 @@ def test_beam_three_percent_over_target(surrogates, unit_normalizer):
     resistance, waterline = surrogates
     hull = make_hull(50.0)
     case = _case_from_hull(hull)
-    wide = hull.with_shape(beam_ratio=1.03 * hull.beam_ratio)
-    x_norm = unit_normalizer.normalize(wide.shape)
+    wide = hull.shape.copy()
+    wide[0] = 1.03 * hull.beam_ratio   # wide[0] is the beam ratio
+    x_norm = unit_normalizer.normalize(wide)
     _objs, violation = evaluate_individual(x_norm, case, resistance, waterline,
                                            unit_normalizer)
     # 3% beam excess against a 2% tolerance leaves exactly 1% violation
