@@ -19,7 +19,7 @@ every step from the waterline regressor via F_n = U / sqrt(g WL LOA).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,9 +28,9 @@ from .config import (BETA_END, BETA_START, COND_TSTAR_RANGE, EMBED_DIM, HIDDEN,
 from .dataset import _interp_marks, surrogate_rows
 from .errors import (ConfigurationError, DomainError, RepresentationError,
                      TrainingError)
-from .neural import (Adam, MlpModel, TrainConfig, _loss_and_delta, init_mlp,
-                     read_block, read_mlp, read_sizes, write_block,
-                     write_mlp)
+from .neural import (TRAIN_DTYPE, Adam, MlpModel, TrainConfig, TrainResult,
+                     _loss_and_delta, init_mlp, read_block, read_mlp,
+                     read_sizes, records_loss, write_block, write_mlp)
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,23 @@ class DenoiserModel:
         ang = t[..., None] * freqs
         return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
+    def astype(self, dtype) -> "DenoiserModel":
+        """A copy with every weight and bias cast to ``dtype``."""
+        return replace(self, mlp=self.mlp.astype(dtype),
+                       cond_w=self.cond_w.astype(dtype),
+                       cond_b=self.cond_b.astype(dtype))
+
     def _stack(self, x, t, cond):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        cond = np.asarray(cond, dtype=float)
+        """The network input [x_t, e] in the weights' dtype, and the
+        conditioning rows; the time embedding is taken in float64."""
+        dtype = self.cond_w.dtype
+        x = np.atleast_2d(np.asarray(x, dtype=dtype))
+        cond = np.asarray(cond, dtype=dtype)
         if cond.ndim == 1:
             cond = np.broadcast_to(cond, (x.shape[0], cond.size))
         emb = self.time_embedding(np.broadcast_to(np.asarray(t, dtype=float),
                                                   (x.shape[0],)))
-        emb = emb + cond @ self.cond_w.T + self.cond_b
+        emb = emb.astype(dtype, copy=False) + cond @ self.cond_w.T + self.cond_b
         return np.concatenate([x, emb], axis=1), cond
 
     def predict_noise(self, x, t, cond) -> np.ndarray:
@@ -175,21 +184,27 @@ def init_denoiser(x_dim: int, cond_dim: int, sched: NoiseSchedule,
 
 def train_denoiser(draw_batch, x_dim: int, cond_dim: int, sched: NoiseSchedule,
                    cfg: TrainConfig, hidden=HIDDEN,
-                   embed_dim: int = EMBED_DIM) -> DenoiserModel:
-    """Generic noise-prediction training.
+                   embed_dim: int = EMBED_DIM) -> TrainResult:
+    """Generic noise-prediction training, in ``neural.TRAIN_DTYPE``.
 
     ``draw_batch(rng, size)`` returns (x0, cond) arrays.  Each step draws
     fresh timesteps and noise, forms x_t, and descends on the noise MSE;
-    gradients flow into the conditioning embedding as well.
+    gradients flow into the conditioning embedding as well.  The noise is
+    cast to TRAIN_DTYPE as drawn; x_t is formed in float64 and rounded
+    once, into the stacked network input.  The weights train as a
+    TRAIN_DTYPE copy, and the result holds the denoiser in float64, with
+    the noise MSE recorded as ``neural._train`` records its loss.
     """
-    model = init_denoiser(x_dim, cond_dim, sched, hidden, embed_dim, cfg.seed)
+    model = init_denoiser(x_dim, cond_dim, sched, hidden, embed_dim,
+                          cfg.seed).astype(TRAIN_DTYPE)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 404]))
     params = [*model.mlp.weights, *model.mlp.biases, model.cond_w, model.cond_b]
     opt = Adam(params)
+    history = []
     for step in range(cfg.steps):
         x0, cond = draw_batch(rng, cfg.batch_size)
         t = rng.integers(1, sched.timesteps + 1, x0.shape[0])
-        eps = rng.standard_normal(x0.shape)
+        eps = rng.standard_normal(x0.shape).astype(TRAIN_DTYPE)
         xt = forward_noise(x0, t, eps, sched)
 
         inp, cond_arr = model._stack(xt, t, cond)
@@ -202,11 +217,14 @@ def train_denoiser(draw_batch, x_dim: int, cond_dim: int, sched: NoiseSchedule,
         dcond_w = demb.T @ cond_arr
         dcond_b = demb.sum(axis=0)
         opt.step([*dws, *dbs, dcond_w, dcond_b])
-    return model
+        if records_loss(step, cfg.steps):
+            history.append((step, loss))
+    return TrainResult(model=model.astype(np.float64), final_loss=loss,
+                       loss_history=history)
 
 
 def train_diffusion(data, sched: NoiseSchedule, cfg: TrainConfig,
-                    hidden=HIDDEN, embed_dim: int = EMBED_DIM) -> DenoiserModel:
+                    hidden=HIDDEN, embed_dim: int = EMBED_DIM) -> TrainResult:
     """Train the hull denoiser on a stacked feasible dataset.
 
     Each batch item pairs a normalized design vector with a conditioning

@@ -1,16 +1,23 @@
 """Dense feed-forward networks with hand-rolled backprop.
 
-Everything runs in float64 numpy.  Hidden layers use tanh (smooth, with a
-strictly positive derivative everywhere, so guidance gradients never die);
-the output head is linear for regression or logistic for classification.
-Training is minibatch Adam, bit-reproducible for a fixed seed and BLAS
-thread count; while the pipeline trains its networks in parallel
-(``dataset.pool_map`` threads) the process runs one BLAS thread.
+Hidden layers use tanh (smooth, with a strictly positive derivative
+everywhere, so guidance gradients never die); the output head is linear
+for regression or logistic for classification.  Training is minibatch
+Adam, bit-reproducible for a fixed seed and BLAS thread count; while the
+pipeline trains its networks in parallel (``dataset.pool_map`` threads)
+the process runs one BLAS thread.
+
+Training runs in ``TRAIN_DTYPE`` (float32): the training rows and a
+working copy of the weights are cast once when training starts, and every
+step's batch, activations, gradients and Adam moments stay in it.  The
+trained network is handed back in float64, each value float32-exact.
+Everything else runs in float64 numpy: forward passes, the input
+gradients that guide sampling, and the text archives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,6 +26,8 @@ from .errors import RepresentationError, TrainingError
 
 HEADS = ("linear", "sigmoid")
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's defaults
+TRAIN_DTYPE = np.float32   # training arithmetic; inference and archives: float64
+LOSS_EVERY = 200           # a training loss is recorded every LOSS_EVERY steps
 
 
 def _sigmoid(x):
@@ -53,6 +62,11 @@ class MlpModel:
     @property
     def out_dim(self) -> int:
         return self.sizes[-1]
+
+    def astype(self, dtype) -> "MlpModel":
+        """A copy with its weights and biases cast to ``dtype``."""
+        return replace(self, weights=[w.astype(dtype) for w in self.weights],
+                       biases=[b.astype(dtype) for b in self.biases])
 
     def _check(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -151,9 +165,15 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    model: MlpModel
+    model: object           # MlpModel, or the denoiser's DenoiserModel
     final_loss: float
-    loss_history: list = field(default_factory=list)
+    loss_history: list = field(default_factory=list)   # (step, loss) pairs
+
+
+def records_loss(step: int, steps: int) -> bool:
+    """Whether a run of ``steps`` steps records its loss at ``step``: every
+    LOSS_EVERY steps from the first, and at the last."""
+    return step % LOSS_EVERY == 0 or step == steps - 1
 
 
 class Adam:
@@ -194,16 +214,17 @@ def _loss_and_delta(z, yb, kind):
 
 
 def _train(model: MlpModel, x, y, cfg: TrainConfig, loss_kind: str) -> TrainResult:
-    """Minibatch Adam on ``loss_kind``: "mse", or "bce" through the sigmoid."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Minibatch Adam on ``loss_kind``: "mse", or "bce" through the sigmoid,
+    in TRAIN_DTYPE; the trained model comes back in float64."""
+    x = np.asarray(x, dtype=TRAIN_DTYPE)
+    y = np.asarray(y, dtype=TRAIN_DTYPE)
     if y.ndim == 1:
         y = y[:, None]
     if x.shape[0] != y.shape[0] or x.shape[0] < 1:
         raise TrainingError("training arrays must share a positive row count")
     rng = np.random.default_rng(cfg.seed)
+    model = model.astype(TRAIN_DTYPE)
     opt = Adam([*model.weights, *model.biases])
-    nw = len(model.weights)
     history = []
     loss = float("nan")
     for step in range(cfg.steps):
@@ -215,9 +236,10 @@ def _train(model: MlpModel, x, y, cfg: TrainConfig, loss_kind: str) -> TrainResu
             raise TrainingError(f"training loss diverged at step {step}")
         dws, dbs, _ = model._backward(acts, delta)
         opt.step([*dws, *dbs])
-        if step % 200 == 0 or step == cfg.steps - 1:
+        if records_loss(step, cfg.steps):
             history.append((step, loss))
-    return TrainResult(model=model, final_loss=loss, loss_history=history)
+    return TrainResult(model=model.astype(np.float64), final_loss=loss,
+                       loss_history=history)
 
 
 def train_regressor(x, y, cfg: TrainConfig, *, hidden=HIDDEN) -> TrainResult:

@@ -36,8 +36,9 @@ from .evaluate import (AUDIT_COLUMNS, TOLERANCE_BANDS, audit_samples,
                        audit_stats, compare, fit_pca2, kde)
 from .geometry import (read_hull_csv, write_csv, write_flagged_csv,
                        write_hull_csv)
-from .neural import (TrainConfig, accuracy, load_weights, r_squared,
-                     save_weights, train_classifier, train_regressor)
+from .neural import (TrainConfig, TrainResult, accuracy, load_weights,
+                     r_squared, save_weights, train_classifier,
+                     train_regressor)
 from .optimize import make_hull_problem, nsga2
 
 SAMPLE_MODES = ("full", "classifier-only", "unguided")
@@ -53,6 +54,11 @@ MODEL_FILES = {
 MODEL_GROUPS = {"resistance": "regressors", "volume": "regressors",
                 "waterline": "regressors", "classifier": "classifier",
                 "denoiser": "diffusion"}
+
+
+def _loss_file(name: str) -> str:
+    """The training-loss curve that ``train`` writes beside an archive."""
+    return f"loss_{name}.csv"
 
 
 def _sha256(path: Path) -> str:
@@ -187,10 +193,11 @@ def _load_normalizer(out_dir: Path):
 
 
 def _load_dataset(out_dir: Path):
+    """The dataset table (read-only, parsed once per distinct content of
+    ``hulls.csv``) and the normalizer."""
     normalizer = _load_normalizer(out_dir)
-    table = read_dataset_csv(_require(Path(out_dir) / "dataset" / "hulls.csv",
-                                      "gen-dataset"))
-    return table, normalizer
+    path = _require(Path(out_dir) / "dataset" / "hulls.csv", "gen-dataset")
+    return _memoized("dataset", path, _sha256(path)), normalizer
 
 
 def _split_records(n_feasible: int, seed):
@@ -253,18 +260,19 @@ def _train_jobs(cfg: PipelineConfig, which: str, table, normalizer) -> list[_Tra
     return sorted(jobs, key=lambda job: -job.tc.steps)
 
 
-def _train_one(job: _TrainJob, cfg: PipelineConfig, out: Path):
-    """Train one network and write its archive into ``out``; its
-    TrainResult (None for the denoiser, which reports no metrics)."""
+def _train_one(job: _TrainJob, cfg: PipelineConfig, out: Path) -> TrainResult:
+    """Train one network and write its archive and its loss curve
+    (``step, loss``) into ``out``."""
     hidden = (cfg.hidden_units,) * cfg.hidden_layers
     path = out / MODEL_FILES[job.name]
     if job.name == "denoiser":
-        data, sched = job.inputs
-        save_denoiser(train_diffusion(data, sched, job.tc, hidden=hidden), path)
-        return None
-    train = train_classifier if job.name == "classifier" else train_regressor
-    res = train(*job.inputs[:2], job.tc, hidden=hidden)
-    save_weights(res.model, path)
+        res = train_diffusion(*job.inputs, job.tc, hidden=hidden)
+        save_denoiser(res.model, path)
+    else:
+        train = train_classifier if job.name == "classifier" else train_regressor
+        res = train(*job.inputs[:2], job.tc, hidden=hidden)
+        save_weights(res.model, path)
+    write_csv(out / _loss_file(job.name), ("step", "loss"), res.loss_history)
     return res
 
 
@@ -295,12 +303,14 @@ def cmd_train(cfg: PipelineConfig, out_dir, which: str = "all") -> Path:
     out_dir = Path(out_dir)
     jobs = _train_jobs(cfg, which, *_load_dataset(out_dir))
     target = out_dir / "models"
+    trained = {job.name for job in jobs}
     prior, prior_metrics = {}, {}
     if target.exists():   # keep already-trained groups when retraining one
         for name, fname in MODEL_FILES.items():
-            path = target / fname
-            if path.exists():
-                prior[name] = path.read_text()
+            if name not in trained and (target / fname).exists():
+                prior[name] = {f: (target / f).read_bytes()
+                               for f in (fname, _loss_file(name))
+                               if (target / f).exists()}
         if (target / "metrics.meta").exists():
             prior_metrics = read_meta(target / "metrics.meta")
 
@@ -314,12 +324,11 @@ def cmd_train(cfg: PipelineConfig, out_dir, which: str = "all") -> Path:
         for job, res in zip(jobs, results):
             metrics.update(_job_metrics(job, res))
 
-        for name, text in prior.items():   # carry over untouched groups
-            path = tmp / MODEL_FILES[name]
-            if not path.exists():
-                path.write_text(text)
-                metrics.update({key: val for key, val in prior_metrics.items()
-                                if key.startswith(f"{name}_")})
+        for name, files in prior.items():   # carry over untouched groups
+            for fname, data in files.items():
+                (tmp / fname).write_bytes(data)
+            metrics.update({key: val for key, val in prior_metrics.items()
+                            if key.startswith(f"{name}_")})
 
         write_meta(tmp / "metrics.meta", metrics)
         _write_manifest(tmp, cfg, f"train:{which}", {"master": cfg.seed})
@@ -335,25 +344,40 @@ def _model_digests(out_dir: Path, names) -> dict:
             for name, fname in MODEL_FILES.items() if name in names}
 
 
-# Parsed networks for the life of the process: name -> (sha256 of the archive
-# bytes, model).  The same five archives serve every case, so each command
-# reuses what an earlier one parsed; other bytes under a name replace its
-# entry, so the memo never holds more than len(MODEL_FILES) models.
+# Parsed files for the life of the process: name ("dataset" or a MODEL_FILES
+# key) -> (sha256 of the file's bytes, its parse).  The same dataset and five
+# archives serve every case, so each command reuses what an earlier one
+# parsed; other bytes under a name replace its entry, so the memo never
+# holds more than one dataset table and len(MODEL_FILES) models.
 _PARSED: dict[str, tuple[str, object]] = {}
 
 
 def _parse_read_only(path: Path, name: str):
-    """Parse one archive and freeze its arrays: through the memo, every later
+    """Parse one file and freeze its arrays: through the memo, every later
     command shares them."""
-    if name == "denoiser":
-        model = load_denoiser(path)
-        arrays = (model.cond_w, model.cond_b, *model.mlp.weights, *model.mlp.biases)
+    if name == "dataset":
+        parsed = read_dataset_csv(path)
+        arrays = vars(parsed).values()
+    elif name == "denoiser":
+        parsed = load_denoiser(path)
+        arrays = (parsed.cond_w, parsed.cond_b, *parsed.mlp.weights,
+                  *parsed.mlp.biases)
     else:
-        model = load_weights(path)
-        arrays = (*model.weights, *model.biases)
+        parsed = load_weights(path)
+        arrays = (*parsed.weights, *parsed.biases)
     for arr in arrays:
         arr.flags.writeable = False
-    return model
+    return parsed
+
+
+def _memoized(name: str, path: Path, digest: str):
+    """``path``, whose bytes hash to ``digest``, parsed under ``name``: from
+    the memo when it holds those bytes, else parsed and memoized."""
+    cached, parsed = _PARSED.get(name, (None, None))
+    if cached != digest:
+        parsed = _parse_read_only(path, name)
+        _PARSED[name] = (digest, parsed)
+    return parsed
 
 
 def _load_models(out_dir: Path, *, need=tuple(MODEL_FILES),
@@ -364,13 +388,8 @@ def _load_models(out_dir: Path, *, need=tuple(MODEL_FILES),
     if digests is None:
         digests = _model_digests(out_dir, need)
     mdir = Path(out_dir) / "models"
-    loaded = {}
-    for name in need:
-        digest, model = _PARSED.get(name, (None, None))
-        if digest != digests[name]:
-            model = _parse_read_only(mdir / MODEL_FILES[name], name)
-            _PARSED[name] = (digests[name], model)
-        loaded[name] = model
+    loaded = {name: _memoized(name, mdir / MODEL_FILES[name], digests[name])
+              for name in need}
     return GuidanceModels(
         denoiser=loaded.get("denoiser"),
         feasibility=loaded.get("classifier"),

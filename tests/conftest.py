@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hullforge.geometry import HullParams, SHAPE_NAMES
+from hullforge.neural import Adam
 
 
 def make_hull(loa=50.0, **overrides) -> HullParams:
@@ -30,6 +31,21 @@ def malform_archive(path, case: str) -> None:
     """Rewrite the archive at ``path`` broken in the way MALFORMED_BLOCKS[case] names."""
     lines = path.read_text().splitlines()
     path.write_text("\n".join(MALFORMED_BLOCKS[case](lines)) + "\n")
+
+
+@pytest.fixture
+def adam_dtypes(monkeypatch) -> list:
+    """Per Adam step, the set of dtypes of its parameters, gradients and
+    both moments, seen inside the step."""
+    seen = []
+    real = Adam.step
+
+    def step(self, grads):
+        seen.append({a.dtype for a in (*self.params, *grads, *self.m, *self.v)})
+        return real(self, grads)
+
+    monkeypatch.setattr(Adam, "step", step)
+    return seen
 
 
 @pytest.fixture

@@ -196,7 +196,7 @@ def test_criterion_06_diffusion_sanity(desk):
     toy_sched = linear_schedule(200)
     toy = train_denoiser(_toy_batch, x_dim=2, cond_dim=1, sched=toy_sched,
                          cfg=TrainConfig(batch_size=128, steps=3000, seed=3),
-                         hidden=(64, 64), embed_dim=16)
+                         hidden=(64, 64), embed_dim=16).model
 
     class Raw:
         tstar, log_v = 0.5, 0.0

@@ -1,6 +1,7 @@
 import configparser
 import csv
 import fcntl
+import math
 import os
 import re
 import shutil
@@ -18,7 +19,7 @@ from hullforge import neural, pipeline
 from hullforge.cli import main
 from hullforge.config import (PipelineConfig, config_hash, default_cases,
                               dump_config, load_config, smoke_config)
-from hullforge.dataset import read_meta
+from hullforge.dataset import read_dataset_csv, read_meta
 from hullforge.errors import (ConfigurationError, RepresentationError,
                               TrainingError)
 from hullforge.geometry import HULL_FIELDS
@@ -471,9 +472,9 @@ def test_cli_train_worker_count_does_not_change_models(tmp_path):
         # the config hash covers the workers key; every checksum must agree
         tree["manifest.txt"] = re.sub(rb"config_hash = \w+\n", b"", tree["manifest.txt"])
         trees[workers] = tree
-    assert sorted(trees[1]) == ["classifier.txt", "denoiser.txt", "manifest.txt",
-                                "metrics.meta", "resistance.txt", "volume.txt",
-                                "waterline.txt"]
+    assert sorted(trees[1]) == sorted(
+        ["manifest.txt", "metrics.meta", *pipeline.MODEL_FILES.values(),
+         *(f"loss_{name}.csv" for name in pipeline.MODEL_FILES)])
     assert trees[1] == trees[2]
 
 
@@ -583,7 +584,8 @@ def test_retrained_archive_is_parsed_again(micro_models, parses, tmp_path):
     # the regressors were parsed again; classifier and denoiser bytes did not change
     assert sorted(parses) == sorted([*pipeline.MODEL_FILES.values(), "resistance.txt",
                                      "volume.txt", "waterline.txt"])
-    assert sorted(pipeline._PARSED) == sorted(pipeline.MODEL_FILES)
+    # cmd_train read the dataset through the same memo
+    assert sorted(pipeline._PARSED) == sorted([*pipeline.MODEL_FILES, "dataset"])
 
 
 def test_memoized_arrays_are_read_only(micro_models, parses):
@@ -596,6 +598,77 @@ def test_memoized_arrays_are_read_only(micro_models, parses):
     assert arrays and not any(arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError, match="read-only"):
         models.resistance.weights[0][0, 0] = 0.0
+
+
+def test_train_writes_a_loss_curve_per_network(micro_models, tmp_path):
+    """models/loss_<name>.csv holds (step, loss) at step 0 and the last step
+    (the micro runs are shorter than 200 steps); the manifest lists each,
+    and `train --which` carries the other groups' curves over."""
+    cfg, src = micro_models
+    models = src / "models"
+    steps = {"resistance": cfg.resistance_steps, "volume": cfg.volume_steps,
+             "waterline": cfg.waterline_steps, "classifier": cfg.classifier_steps,
+             "denoiser": cfg.diffusion_steps}
+    manifest = (models / "manifest.txt").read_text()
+    for name in pipeline.MODEL_FILES:
+        with open(models / f"loss_{name}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["step", "loss"]
+        assert [int(r[0]) for r in rows[1:]] == [0, steps[name] - 1]
+        assert all(math.isfinite(float(r[1])) for r in rows[1:])
+        assert f"sha256.loss_{name}.csv = " in manifest
+    out = tmp_path / "out"
+    shutil.copytree(src, out)
+    pipeline.cmd_train(replace(cfg, seed=cfg.seed + 1), out, "classifier")
+    before, after = _tree(models), _tree(out / "models")
+    assert after["loss_classifier.csv"] != before["loss_classifier.csv"]
+    for name in ("resistance", "volume", "waterline", "denoiser"):
+        assert after[f"loss_{name}.csv"] == before[f"loss_{name}.csv"]
+
+
+@pytest.fixture
+def dataset_parses(monkeypatch):
+    """An empty memo, and the dataset files parsed through it, in order."""
+    monkeypatch.setattr(pipeline, "_PARSED", {})
+    paths = []
+
+    def counted(path, _real=pipeline.read_dataset_csv):
+        paths.append(Path(path))
+        return _real(path)
+
+    monkeypatch.setattr(pipeline, "read_dataset_csv", counted)
+    return paths
+
+
+def test_dataset_is_parsed_once_per_process_and_content(micro_models,
+                                                        dataset_parses, tmp_path):
+    """A second command on the same bytes, in another output directory,
+    parses nothing; changed bytes are parsed again."""
+    cfg, src = micro_models
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    shutil.copytree(src, out_a)
+    shutil.copytree(src, out_b)
+    pipeline.cmd_optimize(cfg, out_a, "kayak")
+    assert dataset_parses == [out_a / "dataset" / "hulls.csv"]
+    pipeline.cmd_optimize(cfg, out_b, "kayak")
+    assert len(dataset_parses) == 1
+    assert _tree(out_a / "optimize") == _tree(out_b / "optimize")
+
+    path = out_b / "dataset" / "hulls.csv"
+    lines = path.read_text().splitlines()
+    lines[-2], lines[-1] = lines[-1], lines[-2]    # two infeasible rows swap
+    path.write_text("\n".join(lines) + "\n")
+    table = pipeline._load_dataset(out_b)[0]
+    assert dataset_parses == [out_a / "dataset" / "hulls.csv", path]
+    assert np.array_equal(table.shapes, read_dataset_csv(path).shapes)
+
+
+def test_memoized_dataset_is_read_only(micro_models, dataset_parses):
+    table = pipeline._load_dataset(micro_models[1])[0]
+    arrays = list(vars(table).values())
+    assert len(arrays) == 7 and not any(arr.flags.writeable for arr in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        table.shapes[0, 0] = 0.0
 
 
 def test_corrupt_archive_raises_on_every_call(micro_models, parses, tmp_path):

@@ -87,7 +87,7 @@ def test_toy_conditional_recovery():
     sched = linear_schedule(200)
     model = train_denoiser(_toy_batch, x_dim=2, cond_dim=1, sched=sched,
                            cfg=TrainConfig(batch_size=128, steps=3000, seed=3),
-                           hidden=(64, 64), embed_dim=16)
+                           hidden=(64, 64), embed_dim=16).model
     models = GuidanceModels(denoiser=model)
     cond = ConditioningVector(tstar=0.5, log_v=0.0, beam_ratio=0.1,
                               depth_ratio=0.1)
@@ -115,7 +115,7 @@ def test_training_improves_denoising(mini_stacked):
     sched = linear_schedule(100)
     cfg = TrainConfig(batch_size=64, steps=400, seed=1)
     model = train_diffusion(mini_stacked, sched, cfg, hidden=(32, 32),
-                            embed_dim=8)
+                            embed_dim=8).model
     rng = np.random.default_rng(0)
     idx = rng.integers(0, mini_stacked.n, 128)
     x0 = mini_stacked.norm_shapes[idx]
@@ -136,7 +136,7 @@ def test_training_improves_denoising(mini_stacked):
 def test_sampling_deterministic_and_shaped(mini_stacked):
     sched = linear_schedule(50)
     cfg = TrainConfig(batch_size=32, steps=100, seed=2)
-    model = train_diffusion(mini_stacked, sched, cfg, hidden=(16,), embed_dim=8)
+    model = train_diffusion(mini_stacked, sched, cfg, hidden=(16,), embed_dim=8).model
     models = GuidanceModels(denoiser=model)
     cond = ConditioningVector(tstar=0.4, log_v=-2.5, beam_ratio=0.2,
                               depth_ratio=0.1)
@@ -151,7 +151,7 @@ def test_sampling_deterministic_and_shaped(mini_stacked):
 def test_guidance_off_equivalence_bitwise(mini_stacked):
     sched = linear_schedule(50)
     cfg = TrainConfig(batch_size=32, steps=100, seed=2)
-    model = train_diffusion(mini_stacked, sched, cfg, hidden=(16,), embed_dim=8)
+    model = train_diffusion(mini_stacked, sched, cfg, hidden=(16,), embed_dim=8).model
     cond = ConditioningVector(tstar=0.4, log_v=-2.5, beam_ratio=0.2,
                               depth_ratio=0.1)
     guided = sample_guided(GuidanceModels(denoiser=model), cond, speed=5.0,
@@ -167,7 +167,7 @@ def test_missing_guidance_model_is_configuration_error(mini_stacked):
     sched = linear_schedule(50)
     model = train_diffusion(mini_stacked, sched,
                             TrainConfig(batch_size=32, steps=50, seed=2),
-                            hidden=(16,), embed_dim=8)
+                            hidden=(16,), embed_dim=8).model
     cond = ConditioningVector(tstar=0.4, log_v=-2.5, beam_ratio=0.2,
                               depth_ratio=0.1)
     with pytest.raises(ConfigurationError):
@@ -181,7 +181,7 @@ def test_guidance_terms_change_samples(mini_stacked, mini_normalizer):
     sched = linear_schedule(50)
     den = train_diffusion(mini_stacked, sched,
                           TrainConfig(batch_size=32, steps=100, seed=2),
-                          hidden=(16,), embed_dim=8)
+                          hidden=(16,), embed_dim=8).model
     classifier = init_mlp(13, (16,), 1, "sigmoid", rng)
     resistance = init_mlp(16, (16,), 1, "linear", rng)
     volume = init_mlp(14, (16,), 1, "linear", rng)
@@ -200,7 +200,7 @@ def test_denoiser_archive_roundtrip(tmp_path, mini_stacked):
     sched = linear_schedule(50)
     model = train_diffusion(mini_stacked, sched,
                             TrainConfig(batch_size=32, steps=50, seed=4),
-                            hidden=(16,), embed_dim=8)
+                            hidden=(16,), embed_dim=8).model
     path = tmp_path / "denoiser.txt"
     save_denoiser(model, path)
     back = load_denoiser(path)
@@ -208,6 +208,30 @@ def test_denoiser_archive_roundtrip(tmp_path, mini_stacked):
     cond = np.tile([0.5, -2.5, 0.2, 0.1], (5, 1))
     assert np.array_equal(back.predict_noise(x, 17, cond),
                           model.predict_noise(x, 17, cond))
+
+
+def test_denoiser_trains_in_float32_and_returns_float64(adam_dtypes, tmp_path,
+                                                       mini_stacked):
+    sched = linear_schedule(50)
+    result = train_diffusion(mini_stacked, sched,
+                             TrainConfig(batch_size=16, steps=3, seed=4),
+                             hidden=(16,), embed_dim=8)
+    assert adam_dtypes == [{np.dtype(np.float32)}] * 3
+    assert [step for step, _ in result.loss_history] == [0, 2]
+    den = result.model
+    arrays = [den.cond_w, den.cond_b, *den.mlp.weights, *den.mlp.biases]
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert np.array_equal(arr.astype(np.float32).astype(np.float64), arr)
+    path = tmp_path / "denoiser.txt"
+    save_denoiser(den, path)
+    back = load_denoiser(path)
+    for got, want in zip([back.cond_w, back.cond_b, *back.mlp.weights,
+                          *back.mlp.biases], arrays):
+        assert np.array_equal(got, want)
+    # inference stays float64
+    assert den.predict_noise(np.zeros((2, 13)), 7, [0.5, -2.5, 0.2, 0.1]).dtype \
+        == np.float64
 
 
 @pytest.mark.parametrize("old,new", [(" tanh linear", " relu linear"),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hullforge.errors import RepresentationError, TrainingError
-from hullforge.neural import (MlpModel, TrainConfig, accuracy, init_mlp,
-                              load_weights, r_squared, save_weights,
-                              train_classifier, train_regressor)
+from hullforge.neural import (TRAIN_DTYPE, MlpModel, TrainConfig,
+                              accuracy, init_mlp, load_weights, r_squared,
+                              save_weights, train_classifier, train_regressor)
 from conftest import MALFORMED_BLOCKS, malform_archive
 
 
@@ -82,6 +82,44 @@ def test_training_divergence_names_step():
     with pytest.raises(TrainingError, match="step"):
         train_regressor(x, y, TrainConfig(batch_size=64, steps=50, seed=0),
                         hidden=(8,))
+
+
+@pytest.mark.parametrize("train", [train_regressor, train_classifier])
+def test_training_steps_run_in_float32(adam_dtypes, train):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(40, 3))
+    y = (x[:, 0] > 0).astype(float)
+    train(x, y, TrainConfig(batch_size=16, steps=5, seed=1), hidden=(8, 8))
+    assert TRAIN_DTYPE == np.float32
+    assert adam_dtypes == [{np.dtype(np.float32)}] * 5
+
+
+def test_trained_model_is_float64_holding_float32_values(tmp_path):
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(64, 3))
+    result = train_regressor(x, np.sin(x).sum(axis=1),
+                             TrainConfig(batch_size=16, steps=30, seed=2),
+                             hidden=(8, 8))
+    arrays = [*result.model.weights, *result.model.biases]
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert np.array_equal(arr.astype(np.float32).astype(np.float64), arr)
+    path = tmp_path / "model.txt"
+    save_weights(result.model, path)
+    back = load_weights(path)
+    for got, want in zip([*back.weights, *back.biases], arrays):
+        assert np.array_equal(got, want)
+    save_weights(back, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def test_loss_history_every_200_steps_and_the_last():
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(32, 2))
+    result = train_regressor(x, x[:, 0], TrainConfig(batch_size=8, steps=402, seed=0),
+                             hidden=(4,))
+    assert [step for step, _ in result.loss_history] == [0, 200, 400, 401]
+    assert result.loss_history[-1][1] == result.final_loss
 
 
 def test_classifier_separable_blobs():
