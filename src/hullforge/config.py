@@ -175,6 +175,10 @@ class PipelineConfig:
             raise ConfigurationError("network batch size and step counts must be >= 1")
         if self.workers < 0:
             raise ConfigurationError("dataset.workers must be >= 0")
+        for key in ("dataset.rows_per_hull", "network.hidden_units",
+                    "schedule.timesteps"):
+            if getattr(self, key.split(".")[1]) < 1:
+                raise ConfigurationError(f"{key} must be >= 1")
         if min(self.plane_nx, self.plane_nz) < 8:
             raise ConfigurationError("michell.plane_nx and plane_nz must be >= 8")
         if self.n_samples < 1:

@@ -28,9 +28,9 @@ from .config import (BETA_END, BETA_START, COND_TSTAR_RANGE, EMBED_DIM, HIDDEN,
 from .dataset import _interp_marks, surrogate_rows
 from .errors import (ConfigurationError, DomainError, RepresentationError,
                      TrainingError)
-from .neural import (TRAIN_DTYPE, Adam, MlpModel, TrainConfig, TrainResult,
-                     _loss_and_delta, init_mlp, read_block, read_mlp,
-                     read_sizes, records_loss, write_block, write_mlp)
+from .neural import (TRAIN_DTYPE, MlpModel, TrainConfig, TrainResult,
+                     _loss_and_delta, fit, init_mlp, read_block, read_mlp,
+                     read_sizes, write_block, write_mlp)
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,10 @@ class DenoiserModel:
                        cond_w=self.cond_w.astype(dtype),
                        cond_b=self.cond_b.astype(dtype))
 
+    def params(self) -> list:
+        """The MLP's arrays, then the conditioning embedding's."""
+        return [*self.mlp.params(), self.cond_w, self.cond_b]
+
     def _stack(self, x, t, cond):
         """The network input [x_t, e] in the weights' dtype, and the
         conditioning rows; the time embedding is taken in float64."""
@@ -185,42 +189,32 @@ def init_denoiser(x_dim: int, cond_dim: int, sched: NoiseSchedule,
 def train_denoiser(draw_batch, x_dim: int, cond_dim: int, sched: NoiseSchedule,
                    cfg: TrainConfig, hidden=HIDDEN,
                    embed_dim: int = EMBED_DIM) -> TrainResult:
-    """Generic noise-prediction training, in ``neural.TRAIN_DTYPE``.
+    """Noise-prediction training through ``neural.fit``.
 
     ``draw_batch(rng, size)`` returns (x0, cond) arrays.  Each step draws
     fresh timesteps and noise, forms x_t, and descends on the noise MSE;
     gradients flow into the conditioning embedding as well.  The noise is
     cast to TRAIN_DTYPE as drawn; x_t is formed in float64 and rounded
-    once, into the stacked network input.  The weights train as a
-    TRAIN_DTYPE copy, and the result holds the denoiser in float64, with
-    the noise MSE recorded as ``neural._train`` records its loss.
+    once, into the stacked network input.  The denoiser comes back in
+    float64, with the noise MSE as its loss history.
     """
-    model = init_denoiser(x_dim, cond_dim, sched, hidden, embed_dim,
-                          cfg.seed).astype(TRAIN_DTYPE)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 404]))
-    params = [*model.mlp.weights, *model.mlp.biases, model.cond_w, model.cond_b]
-    opt = Adam(params)
-    history = []
-    for step in range(cfg.steps):
+    def step(work, rng):
         x0, cond = draw_batch(rng, cfg.batch_size)
         t = rng.integers(1, sched.timesteps + 1, x0.shape[0])
         eps = rng.standard_normal(x0.shape).astype(TRAIN_DTYPE)
-        xt = forward_noise(x0, t, eps, sched)
-
-        inp, cond_arr = model._stack(xt, t, cond)
-        acts = model.mlp._forward_cached(inp)
+        inp, cond_arr = work._stack(forward_noise(x0, t, eps, sched), t, cond)
+        acts = work.mlp._forward_cached(inp)
         loss, delta = _loss_and_delta(acts[-1], eps, "mse")
-        if not np.isfinite(loss):
-            raise TrainingError(f"diffusion training diverged at step {step}")
-        dws, dbs, dinp = model.mlp._backward(acts, delta)
-        demb = dinp[:, model.x_dim:]
-        dcond_w = demb.T @ cond_arr
-        dcond_b = demb.sum(axis=0)
-        opt.step([*dws, *dbs, dcond_w, dcond_b])
-        if records_loss(step, cfg.steps):
-            history.append((step, loss))
-    return TrainResult(model=model.astype(np.float64), final_loss=loss,
-                       loss_history=history)
+
+        def gradients():
+            grads, dinp = work.mlp._backward(acts, delta)
+            demb = dinp[:, work.x_dim:]
+            return [*grads, demb.T @ cond_arr, demb.sum(axis=0)]
+        return loss, gradients
+
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 404]))
+    return fit(init_denoiser(x_dim, cond_dim, sched, hidden, embed_dim, cfg.seed),
+               step, cfg, rng)
 
 
 def train_diffusion(data, sched: NoiseSchedule, cfg: TrainConfig,

@@ -7,17 +7,20 @@ Adam, bit-reproducible for a fixed seed and BLAS thread count; while the
 pipeline trains its networks in parallel (``dataset.pool_map`` threads)
 the process runs one BLAS thread.
 
-Training runs in ``TRAIN_DTYPE`` (float32): the training rows and a
-working copy of the weights are cast once when training starts, and every
-step's batch, activations, gradients and Adam moments stay in it.  The
-trained network is handed back in float64, each value float32-exact.
-Everything else runs in float64 numpy: forward passes, the input
-gradients that guide sampling, and the text archives.
+Every network, the denoiser too, trains through ``fit``, the one
+minibatch-Adam loop; a trainer supplies only its step (batch, forward,
+loss, backprop).  Training runs in ``TRAIN_DTYPE`` (float32): the training
+rows and a working copy of the weights are cast once when training starts,
+and every step's batch, activations, gradients and Adam moments stay in
+it.  The trained network is handed back in float64, each value
+float32-exact.  Everything else runs in float64 numpy: inference, the
+input gradients that guide sampling, and the text archives.  Every forward
+pass runs through ``MlpModel._forward_cached``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from .errors import RepresentationError, TrainingError
 HEADS = ("linear", "sigmoid")
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's defaults
 TRAIN_DTYPE = np.float32   # training arithmetic; inference and archives: float64
-LOSS_EVERY = 200           # a training loss is recorded every LOSS_EVERY steps
+LOSS_EVERY = 200           # fit records the loss every LOSS_EVERY steps and at the last
 
 
 def _sigmoid(x):
@@ -68,6 +71,11 @@ class MlpModel:
         return replace(self, weights=[w.astype(dtype) for w in self.weights],
                        biases=[b.astype(dtype) for b in self.biases])
 
+    def params(self) -> list:
+        """Every weight and bias array, in the order ``_backward`` gives
+        their gradients."""
+        return [*self.weights, *self.biases]
+
     def _check(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.in_dim:
@@ -77,13 +85,8 @@ class MlpModel:
 
     def forward(self, x) -> np.ndarray:
         """(n, out_dim) head outputs (probabilities for the sigmoid head)."""
-        h = self._check(x)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i < last:
-                h = np.tanh(h)
-        return _sigmoid(h) if self.head == "sigmoid" else h
+        out = self._forward_cached(self._check(x))[-1]
+        return _sigmoid(out) if self.head == "sigmoid" else out
 
     def predict(self, x) -> np.ndarray:
         """forward() squeezed to a 1-D vector for single-output models."""
@@ -127,6 +130,8 @@ class MlpModel:
         return self.value_and_input_gradient(x)[1]
 
     def _backward(self, acts, dout):
+        """The gradients of ``params()`` and of the input, given
+        ``_forward_cached``'s activations and dL/d(output)."""
         dws = [None] * len(self.weights)
         dbs = [None] * len(self.weights)
         delta = dout
@@ -137,7 +142,7 @@ class MlpModel:
             if i > 0:                       # through tanh: 1 - a^2, in place
                 slope = acts[i] ** 2
                 delta *= np.subtract(1.0, slope, out=slope)
-        return dws, dbs, delta
+        return [*dws, *dbs], delta
 
 
 def init_mlp(in_dim: int, hidden: tuple, out_dim: int, head: str,
@@ -166,14 +171,7 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     model: object           # MlpModel, or the denoiser's DenoiserModel
-    final_loss: float
-    loss_history: list = field(default_factory=list)   # (step, loss) pairs
-
-
-def records_loss(step: int, steps: int) -> bool:
-    """Whether a run of ``steps`` steps records its loss at ``step``: every
-    LOSS_EVERY steps from the first, and at the last."""
-    return step % LOSS_EVERY == 0 or step == steps - 1
+    loss_history: list      # (step, loss) pairs
 
 
 class Adam:
@@ -213,33 +211,49 @@ def _loss_and_delta(z, yb, kind):
     return loss, delta
 
 
+def fit(model, step, cfg: TrainConfig, rng) -> TrainResult:
+    """The one minibatch-Adam loop: ``cfg.steps`` steps on a TRAIN_DTYPE
+    copy of ``model`` (an MlpModel or a DenoiserModel), handed back in float64.
+
+    ``step(work, rng)``, given the copy, draws a batch and returns its loss
+    and a function that gives the gradients of ``work.params()``.  The loss
+    is checked before that function runs, so a diverged batch is never
+    backpropagated.
+    """
+    # Lifetimes that keep a pool thread's heap from being trimmed and faulted
+    # back in every step (cmd_train took ten times the page faults without
+    # them): the float64 weights go here unless the caller holds them, and a
+    # step's gradients live until the next step's exist.
+    model = model.astype(TRAIN_DTYPE)
+    opt = Adam(model.params())
+    history = []
+    for i in range(cfg.steps):
+        loss, gradients = step(model, rng)
+        if not np.isfinite(loss):
+            raise TrainingError(f"training loss diverged at step {i}")
+        grads = gradients()
+        opt.step(grads)
+        if i % LOSS_EVERY == 0 or i == cfg.steps - 1:
+            history.append((i, loss))
+    return TrainResult(model=model.astype(np.float64), loss_history=history)
+
+
 def _train(model: MlpModel, x, y, cfg: TrainConfig, loss_kind: str) -> TrainResult:
-    """Minibatch Adam on ``loss_kind``: "mse", or "bce" through the sigmoid,
-    in TRAIN_DTYPE; the trained model comes back in float64."""
+    """``fit`` on ``loss_kind``: "mse", or "bce" through the sigmoid."""
     x = np.asarray(x, dtype=TRAIN_DTYPE)
     y = np.asarray(y, dtype=TRAIN_DTYPE)
     if y.ndim == 1:
         y = y[:, None]
     if x.shape[0] != y.shape[0] or x.shape[0] < 1:
         raise TrainingError("training arrays must share a positive row count")
-    rng = np.random.default_rng(cfg.seed)
-    model = model.astype(TRAIN_DTYPE)
-    opt = Adam([*model.weights, *model.biases])
-    history = []
-    loss = float("nan")
-    for step in range(cfg.steps):
+
+    def step(work, rng):
         idx = rng.integers(0, x.shape[0], min(cfg.batch_size, x.shape[0]))
-        xb, yb = x[idx], y[idx]
-        acts = model._forward_cached(xb)
-        loss, delta = _loss_and_delta(acts[-1], yb, loss_kind)
-        if not np.isfinite(loss):
-            raise TrainingError(f"training loss diverged at step {step}")
-        dws, dbs, _ = model._backward(acts, delta)
-        opt.step([*dws, *dbs])
-        if records_loss(step, cfg.steps):
-            history.append((step, loss))
-    return TrainResult(model=model.astype(np.float64), final_loss=loss,
-                       loss_history=history)
+        acts = work._forward_cached(x[idx])
+        loss, delta = _loss_and_delta(acts[-1], y[idx], loss_kind)
+        return loss, lambda: work._backward(acts, delta)[0]
+
+    return fit(model, step, cfg, np.random.default_rng(cfg.seed))
 
 
 def train_regressor(x, y, cfg: TrainConfig, *, hidden=HIDDEN) -> TrainResult:

@@ -281,14 +281,9 @@ def _job_metrics(job: _TrainJob, res) -> dict:
     if job.name == "denoiser":
         return {}
     if job.name == "classifier":
-        x, y = job.inputs
-        return {"classifier_loss": res.final_loss,
-                "classifier_train_accuracy": accuracy(res.model, x, y)}
+        return {"classifier_train_accuracy": accuracy(res.model, *job.inputs)}
     _, _, xv, yv = job.inputs
-    entries = {f"{job.name}_r2": r_squared(res.model, xv, yv)}
-    if job.name == "resistance":   # the one regressor whose final loss is kept
-        entries["resistance_loss"] = res.final_loss
-    return entries
+    return {f"{job.name}_r2": r_squared(res.model, xv, yv)}
 
 
 def cmd_train(cfg: PipelineConfig, out_dir, which: str = "all") -> Path:
@@ -358,13 +353,9 @@ def _parse_read_only(path: Path, name: str):
     if name == "dataset":
         parsed = read_dataset_csv(path)
         arrays = vars(parsed).values()
-    elif name == "denoiser":
-        parsed = load_denoiser(path)
-        arrays = (parsed.cond_w, parsed.cond_b, *parsed.mlp.weights,
-                  *parsed.mlp.biases)
     else:
-        parsed = load_weights(path)
-        arrays = (*parsed.weights, *parsed.biases)
+        parsed = (load_denoiser if name == "denoiser" else load_weights)(path)
+        arrays = parsed.params()
     for arr in arrays:
         arr.flags.writeable = False
     return parsed

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from hullforge.diffusion import (ConditioningVector, GuidanceModels,
                                  linear_schedule, load_denoiser, sample_guided,
                                  save_denoiser, train_denoiser, train_diffusion)
 from hullforge.errors import (ConfigurationError, DomainError,
-                             RepresentationError)
-from hullforge.neural import TrainConfig, init_mlp
+                             RepresentationError, TrainingError)
+from hullforge.neural import MlpModel, TrainConfig, init_mlp
 from conftest import MALFORMED_BLOCKS, malform_archive
 
 
@@ -97,6 +99,30 @@ def test_toy_conditional_recovery():
                             sched=sched, seed=11)
     dist = np.linalg.norm(samples - [-2.0, 0.0], axis=1)
     assert np.mean(dist <= 3 * 0.2 * np.sqrt(2)) >= 0.95
+
+
+def test_denoiser_divergence_names_step(monkeypatch):
+    """A NaN batch at step 3 stops training there, before its backprop,
+    and no numpy warning is raised on the way."""
+    steps = iter(range(10))
+    backprops = []
+    backward = MlpModel._backward
+    monkeypatch.setattr(MlpModel, "_backward",
+                        lambda self, *args: backprops.append(1) or backward(self, *args))
+
+    def draw_batch(rng, size):
+        x0, cond = _toy_batch(rng, size)
+        if next(steps) == 3:
+            x0[5] = np.nan
+        return x0, cond
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingError, match="at step 3$"):
+            train_denoiser(draw_batch, x_dim=2, cond_dim=1, sched=linear_schedule(50),
+                           cfg=TrainConfig(batch_size=16, steps=10, seed=1),
+                           hidden=(8,), embed_dim=4)
+    assert len(backprops) == 3
 
 
 class _RawCond:

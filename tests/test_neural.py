@@ -60,7 +60,7 @@ def test_training_descends():
     result = train_regressor(x, y, TrainConfig(batch_size=64, steps=2000,
                                                seed=1), hidden=(32, 32))
     first = result.loss_history[0][1]
-    assert result.final_loss < first
+    assert result.loss_history[-1][1] < first
 
 
 def test_training_reproducible():
@@ -119,7 +119,8 @@ def test_loss_history_every_200_steps_and_the_last():
     result = train_regressor(x, x[:, 0], TrainConfig(batch_size=8, steps=402, seed=0),
                              hidden=(4,))
     assert [step for step, _ in result.loss_history] == [0, 200, 400, 401]
-    assert result.loss_history[-1][1] == result.final_loss
+    assert all(isinstance(loss, float) and np.isfinite(loss)
+               for _, loss in result.loss_history)
 
 
 def test_classifier_separable_blobs():
