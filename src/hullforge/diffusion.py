@@ -2,9 +2,10 @@
 
 The denoiser is a plain MLP over [x_t, e] where e is a sinusoidal timestep
 embedding summed with a learned linear embedding of the conditioning
-vector.  Sampling follows the guided update literally, including the
-(1 - gamma) attenuation of the noise term and the classifier gradient
-added outside the sigma_t scaling:
+vector; its sizes are read off those weights.  The noise schedule holds
+per-step arrays (step t at index t - 1).  Sampling follows the guided
+update literally, including the (1 - gamma) attenuation of the noise term
+and the classifier gradient added outside the sigma_t scaling:
 
     x_{t-1} = (x_t - (1-a_t)/sqrt(1-abar_t) eps_hat) / sqrt(a_t)
               + sigma_t Z (1-gamma) + gamma grad f
@@ -14,12 +15,13 @@ Guidance gradients are evaluated on the normalized parameter scale, and
 the volume term lives on the log10 scale where the volume regressor is
 trained.  The Froude number fed to the resistance model is recomputed
 every step from the waterline regressor via F_n = U / sqrt(g WL LOA).
+``GUIDANCE_NETS`` names the networks each coefficient queries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,14 +32,17 @@ from .errors import (ConfigurationError, DomainError, RepresentationError,
                      TrainingError)
 from .neural import (TRAIN_DTYPE, MlpModel, TrainConfig, TrainResult,
                      _loss_and_delta, fit, init_mlp, read_block, read_mlp,
-                     read_sizes, write_block, write_mlp)
+                     read_sizes, representable, write_block, write_mlp)
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step beta/alpha tables; index with t in [1, T]."""
+    """Per-step tables from the betas; step t in [1, T] is index t - 1."""
 
     betas: np.ndarray
+    alphas: np.ndarray = field(init=False)       # 1 - beta_t
+    alpha_bars: np.ndarray = field(init=False)   # prod of alpha_s, s <= t
+    sigmas: np.ndarray = field(init=False)       # sqrt(beta_t)
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=float)
@@ -50,22 +55,13 @@ class NoiseSchedule:
         if abar[-1] >= 0.01:
             raise DomainError(f"terminal cumulative alpha {abar[-1]:.4f} is too "
                               "large; increase T or the beta range")
-        object.__setattr__(self, "_alphas", 1.0 - betas)
-        object.__setattr__(self, "_abar", abar)
-        object.__setattr__(self, "_sigmas", np.sqrt(betas))
+        object.__setattr__(self, "alphas", 1.0 - betas)
+        object.__setattr__(self, "alpha_bars", abar)
+        object.__setattr__(self, "sigmas", np.sqrt(betas))
 
     @property
     def timesteps(self) -> int:
         return self.betas.size
-
-    def alpha(self, t: int) -> float:
-        return float(self._alphas[t - 1])
-
-    def alpha_bar(self, t: int) -> float:
-        return float(self._abar[t - 1])
-
-    def sigma(self, t: int) -> float:
-        return float(self._sigmas[t - 1])
 
 
 def linear_schedule(timesteps: int = TIMESTEPS) -> NoiseSchedule:
@@ -91,7 +87,7 @@ def forward_noise(x0, t, eps, sched: NoiseSchedule):
         raise RepresentationError("noise draw must match the sample shape")
     if t.ndim and t.shape != x0.shape[:-1]:
         raise RepresentationError("timesteps must be one per row of the sample")
-    ab = sched._abar[t - 1][..., None] if t.ndim else sched._abar[t - 1]
+    ab = sched.alpha_bars[t - 1][..., None] if t.ndim else sched.alpha_bars[t - 1]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
@@ -128,13 +124,14 @@ class ConditioningVector:
 class DenoiserModel:
     """Noise-prediction network with learned conditioning embedding."""
 
-    mlp: MlpModel
+    mlp: MlpModel            # [x_t, e] -> eps_hat: x_dim + embed_dim -> x_dim
     cond_w: np.ndarray       # (embed_dim, cond_dim)
     cond_b: np.ndarray       # (embed_dim,)
-    x_dim: int
-    cond_dim: int
-    embed_dim: int
     timesteps: int
+
+    x_dim = property(lambda self: self.mlp.out_dim)
+    cond_dim = property(lambda self: self.cond_w.shape[1])
+    embed_dim = property(lambda self: self.cond_w.shape[0])
 
     def time_embedding(self, t) -> np.ndarray:
         """Sinusoidal embedding of integer timesteps, shape (..., embed_dim)."""
@@ -159,9 +156,8 @@ class DenoiserModel:
         conditioning rows; the time embedding is taken in float64."""
         dtype = self.cond_w.dtype
         x = np.atleast_2d(np.asarray(x, dtype=dtype))
-        cond = np.asarray(cond, dtype=dtype)
-        if cond.ndim == 1:
-            cond = np.broadcast_to(cond, (x.shape[0], cond.size))
+        cond = np.broadcast_to(np.asarray(cond, dtype=dtype),
+                               (x.shape[0], self.cond_dim))
         emb = self.time_embedding(np.broadcast_to(np.asarray(t, dtype=float),
                                                   (x.shape[0],)))
         emb = emb.astype(dtype, copy=False) + cond @ self.cond_w.T + self.cond_b
@@ -182,7 +178,6 @@ def init_denoiser(x_dim: int, cond_dim: int, sched: NoiseSchedule,
     scale = 1.0 / math.sqrt(cond_dim)
     cond_w = rng.uniform(-scale, scale, (embed_dim, cond_dim))
     return DenoiserModel(mlp=mlp, cond_w=cond_w, cond_b=np.zeros(embed_dim),
-                         x_dim=x_dim, cond_dim=cond_dim, embed_dim=embed_dim,
                          timesteps=sched.timesteps)
 
 
@@ -193,18 +188,21 @@ def train_denoiser(draw_batch, x_dim: int, cond_dim: int, sched: NoiseSchedule,
 
     ``draw_batch(rng, size)`` returns (x0, cond) arrays.  Each step draws
     fresh timesteps and noise, forms x_t, and descends on the noise MSE;
-    gradients flow into the conditioning embedding as well.  The noise is
-    cast to TRAIN_DTYPE as drawn; x_t is formed in float64 and rounded
-    once, into the stacked network input.  The denoiser comes back in
-    float64, with the noise MSE as its loss history.
+    gradients flow into the conditioning embedding as well.  A batch
+    TRAIN_DTYPE cannot hold is a NaN loss, so ``fit`` stops at its step.
+    The noise is cast to TRAIN_DTYPE as drawn; x_t is formed in float64 and
+    rounded once, into the stacked network input.  The denoiser comes back
+    in float64, with the noise MSE as its loss history.
     """
     def step(work, rng):
         x0, cond = draw_batch(rng, cfg.batch_size)
+        if not (representable(x0) and representable(cond)):
+            return math.nan, None
         t = rng.integers(1, sched.timesteps + 1, x0.shape[0])
         eps = rng.standard_normal(x0.shape).astype(TRAIN_DTYPE)
         inp, cond_arr = work._stack(forward_noise(x0, t, eps, sched), t, cond)
         acts = work.mlp._forward_cached(inp)
-        loss, delta = _loss_and_delta(acts[-1], eps, "mse")
+        loss, delta = _loss_and_delta(acts[-1], eps, work.mlp.head)
 
         def gradients():
             grads, dinp = work.mlp._backward(acts, delta)
@@ -242,13 +240,23 @@ def train_diffusion(data, sched: NoiseSchedule, cfg: TrainConfig,
 
 @dataclass
 class GuidanceModels:
-    """Trained models used during sampling; optional ones may be None."""
+    """Trained networks by name; those ``guidance_nets`` omits may be None."""
 
-    denoiser: DenoiserModel
-    feasibility: MlpModel | None = None   # logistic feasibility classifier
+    denoiser: DenoiserModel | None = None
+    classifier: MlpModel | None = None    # logistic feasibility classifier
     resistance: MlpModel | None = None    # [x, t*, F_n, log LOA] -> C_T
     volume: MlpModel | None = None        # [x, t*] -> log10 V
     waterline: MlpModel | None = None     # [x, t*] -> WL
+
+
+# the networks each guidance coefficient (gamma, lambda0, lambda1) queries
+GUIDANCE_NETS = (("classifier",), ("resistance", "waterline"), ("volume",))
+
+
+def guidance_nets(gamma: float, lambda0: float, lambda1: float) -> list:
+    """The networks sampling reads: the denoiser, then each positive coefficient's."""
+    return ["denoiser", *(net for coef, nets in zip((gamma, lambda0, lambda1), GUIDANCE_NETS)
+                          if coef > 0 for net in nets)]
 
 
 def sample_guided(models: GuidanceModels, cond: ConditioningVector,
@@ -264,19 +272,15 @@ def sample_guided(models: GuidanceModels, cond: ConditioningVector,
     """
     if min(gamma, lambda0, lambda1) < 0:
         raise ConfigurationError("guidance coefficients must be >= 0")
-    if gamma > 0 and models.feasibility is None:
-        raise ConfigurationError("gamma > 0 needs a feasibility classifier")
-    if lambda0 > 0 and (models.resistance is None or models.waterline is None):
-        raise ConfigurationError("lambda0 > 0 needs resistance and waterline models")
-    if lambda1 > 0 and models.volume is None:
-        raise ConfigurationError("lambda1 > 0 needs a volume model")
+    missing = [net for net in guidance_nets(gamma, lambda0, lambda1)
+               if getattr(models, net) is None]
+    if missing:
+        raise ConfigurationError(f"sampling needs the {', '.join(missing)} network(s)")
     den = models.denoiser
     if den.timesteps != sched.timesteps:
         raise ConfigurationError(f"denoiser was trained on a {den.timesteps}-step "
                                  f"schedule, asked to sample on {sched.timesteps} steps")
     rng = np.random.default_rng(seed)
-    if n == 0:
-        return np.zeros((0, den.x_dim))
 
     c = cond.as_array()
     x = rng.standard_normal((n, den.x_dim))
@@ -284,12 +288,12 @@ def sample_guided(models: GuidanceModels, cond: ConditioningVector,
     for t in range(sched.timesteps, 0, -1):
         z = rng.standard_normal(x.shape) if t > 1 else np.zeros_like(x)
         eps_hat = den.predict_noise(x, t, c)
-        a_t = sched.alpha(t)
-        ab_t = sched.alpha_bar(t)
+        a_t = sched.alphas[t - 1]
+        ab_t = sched.alpha_bars[t - 1]
         mean = (x - (1.0 - a_t) / math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(a_t)
-        step = mean + sched.sigma(t) * z * (1.0 - gamma)
+        step = mean + sched.sigmas[t - 1] * z * (1.0 - gamma)
         if gamma > 0:
-            step += gamma * models.feasibility.input_gradient(x)
+            step += gamma * models.classifier.input_gradient(x)
         if lambda0 > 0:
             inp = surrogate_rows(models.waterline, x, cond.tstar, speed, loa)
             step -= lambda0 * models.resistance.input_gradient(inp)[:, :den.x_dim]
@@ -323,6 +327,8 @@ def load_denoiser(path) -> DenoiserModel:
         cond_w = read_block(fh, "CW", (embed_dim, cond_dim), path)
         cond_b = read_block(fh, "cb", (embed_dim,), path)
         mlp = read_mlp(fh, path)
-    return DenoiserModel(mlp=mlp, cond_w=cond_w, cond_b=cond_b, x_dim=x_dim,
-                         cond_dim=cond_dim, embed_dim=embed_dim,
+    if (mlp.in_dim, mlp.out_dim) != (x_dim + embed_dim, x_dim):
+        raise RepresentationError(f"denoiser header sizes disagree with its mlp "
+                                  f"({mlp.in_dim} -> {mlp.out_dim}): {path}")
+    return DenoiserModel(mlp=mlp, cond_w=cond_w, cond_b=cond_b,
                          timesteps=timesteps)

@@ -2,20 +2,20 @@
 
 Hidden layers use tanh (smooth, with a strictly positive derivative
 everywhere, so guidance gradients never die); the output head is linear
-for regression or logistic for classification.  Training is minibatch
-Adam, bit-reproducible for a fixed seed and BLAS thread count; while the
-pipeline trains its networks in parallel (``dataset.pool_map`` threads)
-the process runs one BLAS thread.
+for regression or logistic for classification, and it alone sets the
+training loss (mean-squared error or binary cross-entropy).  Forward passes
+run through ``MlpModel._forward_cached``; backward passes, training's and
+the input gradients that guide sampling, through ``_reverse_layer``.
 
 Every network, the denoiser too, trains through ``fit``, the one
-minibatch-Adam loop; a trainer supplies only its step (batch, forward,
-loss, backprop).  Training runs in ``TRAIN_DTYPE`` (float32): the training
-rows and a working copy of the weights are cast once when training starts,
-and every step's batch, activations, gradients and Adam moments stay in
-it.  The trained network is handed back in float64, each value
-float32-exact.  Everything else runs in float64 numpy: inference, the
-input gradients that guide sampling, and the text archives.  Every forward
-pass runs through ``MlpModel._forward_cached``.
+minibatch-Adam loop, bit-reproducible for a fixed seed and BLAS thread
+count; a trainer supplies only its step (batch, forward, loss, backprop).
+Training runs in ``TRAIN_DTYPE`` (float32): rows that float32 cannot hold
+are rejected, the rows and a working copy of the weights are cast once,
+and every step's arrays stay in float32.  The trained network comes back
+in float64, each value float32-exact; inference and the text archives are
+float64.  While the pipeline trains networks in ``dataset.pool_map``
+threads the process runs one BLAS thread.
 """
 
 from __future__ import annotations
@@ -58,13 +58,8 @@ class MlpModel:
             if w.shape != (self.sizes[i], self.sizes[i + 1]) or b.shape != (self.sizes[i + 1],):
                 raise RepresentationError("weight shapes disagree with layer sizes")
 
-    @property
-    def in_dim(self) -> int:
-        return self.sizes[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.sizes[-1]
+    in_dim = property(lambda self: self.sizes[0])
+    out_dim = property(lambda self: self.sizes[-1])
 
     def astype(self, dtype) -> "MlpModel":
         """A copy with its weights and biases cast to ``dtype``."""
@@ -112,22 +107,28 @@ class MlpModel:
         """
         if self.out_dim != 1:
             raise RepresentationError("input_gradient needs a scalar output")
-        x = self._check(x)
-        acts = self._forward_cached(x)
+        acts = self._forward_cached(self._check(x))
         out = acts[-1]
-        delta = np.ones((x.shape[0], 1))
+        delta = np.ones((out.shape[0], 1))
         if self.head == "sigmoid":
             out = _sigmoid(out)
             delta = delta * out * (1.0 - out)
         for i in range(len(self.weights) - 1, -1, -1):
-            delta = delta @ self.weights[i].T
-            if i > 0:
-                delta = delta * (1.0 - acts[i] ** 2)
+            delta = self._reverse_layer(i, acts, delta)
         return out[:, 0], delta
 
     def input_gradient(self, x) -> np.ndarray:
         """The gradient half of value_and_input_gradient."""
         return self.value_and_input_gradient(x)[1]
+
+    def _reverse_layer(self, i, acts, delta):
+        """dL/d(layer i's input) from dL/d(its pre-activation output): back
+        through ``weights[i]``, then through the tanh that made that input."""
+        delta = delta @ self.weights[i].T
+        if i > 0:                           # tanh' = 1 - a^2, in place
+            slope = acts[i] ** 2
+            delta *= np.subtract(1.0, slope, out=slope)
+        return delta
 
     def _backward(self, acts, dout):
         """The gradients of ``params()`` and of the input, given
@@ -138,10 +139,7 @@ class MlpModel:
         for i in range(len(self.weights) - 1, -1, -1):
             dws[i] = acts[i].T @ delta
             dbs[i] = delta.sum(axis=0)
-            delta = delta @ self.weights[i].T
-            if i > 0:                       # through tanh: 1 - a^2, in place
-                slope = acts[i] ** 2
-                delta *= np.subtract(1.0, slope, out=slope)
+            delta = self._reverse_layer(i, acts, delta)
         return [*dws, *dbs], delta
 
 
@@ -196,10 +194,10 @@ class Adam:
             p -= LEARNING_RATE * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
-def _loss_and_delta(z, yb, kind):
-    """Loss and dL/dz at the pre-head layer, averaged over the batch."""
-    n = z.shape[0]
-    if kind == "mse":
+def _loss_and_delta(z, yb, head):
+    """The loss of ``head`` (linear: mean-squared error; sigmoid: binary
+    cross-entropy) and dL/dz at the pre-head layer, averaged over the batch."""
+    if head == "linear":
         resid = z - yb
         loss = float(np.mean(resid**2))
         delta = 2.0 * resid / resid.size
@@ -207,7 +205,7 @@ def _loss_and_delta(z, yb, kind):
         p = _sigmoid(z)
         eps = 1e-12
         loss = float(np.mean(-(yb * np.log(p + eps) + (1 - yb) * np.log(1 - p + eps))))
-        delta = (p - yb) / n              # BCE through the sigmoid
+        delta = (p - yb) / z.shape[0]     # BCE through the sigmoid
     return loss, delta
 
 
@@ -238,8 +236,16 @@ def fit(model, step, cfg: TrainConfig, rng) -> TrainResult:
     return TrainResult(model=model.astype(np.float64), loss_history=history)
 
 
-def _train(model: MlpModel, x, y, cfg: TrainConfig, loss_kind: str) -> TrainResult:
-    """``fit`` on ``loss_kind``: "mse", or "bce" through the sigmoid."""
+def representable(arr) -> bool:
+    """Whether every value of ``arr`` is finite in TRAIN_DTYPE; casting one
+    that is not (NaN, inf, or past float32's largest) warns."""
+    return bool(np.all(np.abs(arr) <= np.finfo(TRAIN_DTYPE).max))
+
+
+def _train(model: MlpModel, x, y, cfg: TrainConfig) -> TrainResult:
+    """``fit`` on the loss of ``model.head``."""
+    if not (representable(x) and representable(y)):
+        raise TrainingError("training rows not finite in float32, rejected before step 0")
     x = np.asarray(x, dtype=TRAIN_DTYPE)
     y = np.asarray(y, dtype=TRAIN_DTYPE)
     if y.ndim == 1:
@@ -250,7 +256,7 @@ def _train(model: MlpModel, x, y, cfg: TrainConfig, loss_kind: str) -> TrainResu
     def step(work, rng):
         idx = rng.integers(0, x.shape[0], min(cfg.batch_size, x.shape[0]))
         acts = work._forward_cached(x[idx])
-        loss, delta = _loss_and_delta(acts[-1], y[idx], loss_kind)
+        loss, delta = _loss_and_delta(acts[-1], y[idx], work.head)
         return loss, lambda: work._backward(acts, delta)[0]
 
     return fit(model, step, cfg, np.random.default_rng(cfg.seed))
@@ -262,7 +268,7 @@ def train_regressor(x, y, cfg: TrainConfig, *, hidden=HIDDEN) -> TrainResult:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
     out_dim = 1 if np.asarray(y).ndim == 1 else np.asarray(y).shape[1]
     model = init_mlp(x.shape[1], hidden, out_dim, "linear", rng)
-    return _train(model, x, y, cfg, "mse")
+    return _train(model, x, y, cfg)
 
 
 def train_classifier(x, y, cfg: TrainConfig, *, hidden=HIDDEN) -> TrainResult:
@@ -274,7 +280,7 @@ def train_classifier(x, y, cfg: TrainConfig, *, hidden=HIDDEN) -> TrainResult:
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202]))
     model = init_mlp(x.shape[1], hidden, 1, "sigmoid", rng)
-    return _train(model, x, y, cfg, "bce")
+    return _train(model, x, y, cfg)
 
 
 def r_squared(model: MlpModel, x, y) -> float:

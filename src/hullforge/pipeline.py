@@ -28,10 +28,10 @@ from .dataset import (build_dataset, classifier_rows, fit_normalizer,
                       read_dataset_csv, read_meta, resistance_rows,
                       save_normalizer, stack_records, write_dataset_csv,
                       write_meta)
-from .diffusion import (ConditioningVector, GuidanceModels, linear_schedule,
-                        load_denoiser, sample_guided, save_denoiser,
-                        train_diffusion)
-from .errors import ConfigurationError, DependencyError
+from .diffusion import (ConditioningVector, GuidanceModels, guidance_nets,
+                        linear_schedule, load_denoiser, sample_guided,
+                        save_denoiser, train_diffusion)
+from .errors import ConfigurationError, DependencyError, TrainingError
 from .evaluate import (AUDIT_COLUMNS, TOLERANCE_BANDS, audit_samples,
                        audit_stats, compare, fit_pca2, kde)
 from .geometry import (read_hull_csv, write_csv, write_flagged_csv,
@@ -43,17 +43,16 @@ from .optimize import make_hull_problem, nsga2
 
 SAMPLE_MODES = ("full", "classifier-only", "unguided")
 
-MODEL_FILES = {
-    "resistance": "resistance.txt",
-    "volume": "volume.txt",
-    "waterline": "waterline.txt",
-    "classifier": "classifier.txt",
-    "denoiser": "denoiser.txt",
-}
-# the `train --which` group that writes each archive
-MODEL_GROUPS = {"resistance": "regressors", "volume": "regressors",
-                "waterline": "regressors", "classifier": "classifier",
-                "denoiser": "diffusion"}
+# Every network, by name, and the `train --which` group that trains it.  A
+# name is the stem of the network's archive and its GuidanceModels field.
+NETWORKS = {"resistance": "regressors", "volume": "regressors",
+            "waterline": "regressors", "classifier": "classifier",
+            "denoiser": "diffusion"}
+
+
+def _archive_file(name: str) -> str:
+    """The weight archive that ``train`` writes for a network."""
+    return f"{name}.txt"
 
 
 def _loss_file(name: str) -> str:
@@ -213,7 +212,7 @@ def _split_records(n_feasible: int, seed):
 class _TrainJob:
     """One network of ``cmd_train`` and its training inputs."""
 
-    name: str            # a MODEL_FILES key
+    name: str            # a NETWORKS key
     tc: TrainConfig
     inputs: tuple        # regressors: x, y, held-out x, y; classifier: x, y;
                          # denoiser: stacked data, noise schedule
@@ -262,16 +261,18 @@ def _train_jobs(cfg: PipelineConfig, which: str, table, normalizer) -> list[_Tra
 
 def _train_one(job: _TrainJob, cfg: PipelineConfig, out: Path) -> TrainResult:
     """Train one network and write its archive and its loss curve
-    (``step, loss``) into ``out``."""
+    (``step, loss``) into ``out``; a training error names the network."""
     hidden = (cfg.hidden_units,) * cfg.hidden_layers
-    path = out / MODEL_FILES[job.name]
-    if job.name == "denoiser":
-        res = train_diffusion(*job.inputs, job.tc, hidden=hidden)
-        save_denoiser(res.model, path)
-    else:
-        train = train_classifier if job.name == "classifier" else train_regressor
-        res = train(*job.inputs[:2], job.tc, hidden=hidden)
-        save_weights(res.model, path)
+    path = out / _archive_file(job.name)
+    try:
+        if job.name == "denoiser":
+            res = train_diffusion(*job.inputs, job.tc, hidden=hidden)
+        else:
+            train = train_classifier if job.name == "classifier" else train_regressor
+            res = train(*job.inputs[:2], job.tc, hidden=hidden)
+    except TrainingError as exc:
+        raise TrainingError(f"{job.name}: {exc}") from exc
+    (save_denoiser if job.name == "denoiser" else save_weights)(res.model, path)
     write_csv(out / _loss_file(job.name), ("step", "loss"), res.loss_history)
     return res
 
@@ -293,7 +294,7 @@ def cmd_train(cfg: PipelineConfig, out_dir, which: str = "all") -> Path:
     bad setting fails before any training; the networks then train in
     parallel, in ``pool_map`` threads of this process (``cfg.workers``).
     """
-    if which not in ("regressors", "classifier", "diffusion", "all"):
+    if which not in {*NETWORKS.values(), "all"}:
         raise ConfigurationError(f"unknown training group {which!r}")
     out_dir = Path(out_dir)
     jobs = _train_jobs(cfg, which, *_load_dataset(out_dir))
@@ -301,10 +302,10 @@ def cmd_train(cfg: PipelineConfig, out_dir, which: str = "all") -> Path:
     trained = {job.name for job in jobs}
     prior, prior_metrics = {}, {}
     if target.exists():   # keep already-trained groups when retraining one
-        for name, fname in MODEL_FILES.items():
-            if name not in trained and (target / fname).exists():
+        for name in NETWORKS:
+            if name not in trained and (target / _archive_file(name)).exists():
                 prior[name] = {f: (target / f).read_bytes()
-                               for f in (fname, _loss_file(name))
+                               for f in (_archive_file(name), _loss_file(name))
                                if (target / f).exists()}
         if (target / "metrics.meta").exists():
             prior_metrics = read_meta(target / "metrics.meta")
@@ -334,16 +335,16 @@ def _model_digests(out_dir: Path, names) -> dict:
     """sha256 of each named archive; a missing one names the group that
     trains it."""
     mdir = _require(Path(out_dir) / "models", "train")
-    return {name: _sha256(_require(mdir / fname,
-                                   f"train --which {MODEL_GROUPS[name]}"))
-            for name, fname in MODEL_FILES.items() if name in names}
+    return {name: _sha256(_require(mdir / _archive_file(name),
+                                   f"train --which {group}"))
+            for name, group in NETWORKS.items() if name in names}
 
 
-# Parsed files for the life of the process: name ("dataset" or a MODEL_FILES
+# Parsed files for the life of the process: name ("dataset" or a NETWORKS
 # key) -> (sha256 of the file's bytes, its parse).  The same dataset and five
 # archives serve every case, so each command reuses what an earlier one
 # parsed; other bytes under a name replace its entry, so the memo never
-# holds more than one dataset table and len(MODEL_FILES) models.
+# holds more than one dataset table and len(NETWORKS) models.
 _PARSED: dict[str, tuple[str, object]] = {}
 
 
@@ -371,7 +372,7 @@ def _memoized(name: str, path: Path, digest: str):
     return parsed
 
 
-def _load_models(out_dir: Path, *, need=tuple(MODEL_FILES),
+def _load_models(out_dir: Path, *, need=tuple(NETWORKS),
                  digests=None) -> GuidanceModels:
     """The networks named in ``need``, each archive parsed once per distinct
     content.  ``digests`` (from ``_model_digests``) spares a caller that has
@@ -379,19 +380,8 @@ def _load_models(out_dir: Path, *, need=tuple(MODEL_FILES),
     if digests is None:
         digests = _model_digests(out_dir, need)
     mdir = Path(out_dir) / "models"
-    loaded = {name: _memoized(name, mdir / MODEL_FILES[name], digests[name])
-              for name in need}
-    return GuidanceModels(
-        denoiser=loaded.get("denoiser"),
-        feasibility=loaded.get("classifier"),
-        resistance=loaded.get("resistance"),
-        volume=loaded.get("volume"),
-        waterline=loaded.get("waterline"),
-    )
-
-
-# the networks each guidance coefficient (gamma, lambda0, lambda1) queries
-GUIDANCE_NETS = (("classifier",), ("resistance", "waterline"), ("volume",))
+    return GuidanceModels(**{name: _memoized(name, mdir / _archive_file(name), digests[name])
+                             for name in need})
 
 
 def _mode_coefficients(cfg: PipelineConfig, mode: str):
@@ -421,13 +411,10 @@ def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
     gamma, lam0, lam1 = _mode_coefficients(cfg, mode)
     out_dir = Path(out_dir)
     normalizer = _load_normalizer(out_dir)
-    need = ["denoiser"]
-    for coef, nets in zip((gamma, lam0, lam1), GUIDANCE_NETS):
-        if coef > 0:
-            need.extend(nets)
     # every archive is hashed into provenance.meta, so all must exist
-    digests = _model_digests(out_dir, MODEL_FILES)
-    models = _load_models(out_dir, need=need, digests=digests)
+    digests = _model_digests(out_dir, NETWORKS)
+    models = _load_models(out_dir, need=guidance_nets(gamma, lam0, lam1),
+                          digests=digests)
     seed = _seed_int(cfg.seed, 31, sorted(cfg.cases).index(case_name),
                      SAMPLE_MODES.index(mode)) if seed is None else seed
 
@@ -445,7 +432,7 @@ def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
             "gamma": gamma, "lambda0": lam0, "lambda1": lam1,
             "cond_tstar": cond.tstar, "cond_log_v": cond.log_v,
             "cond_beam_ratio": cond.beam_ratio, "cond_depth_ratio": cond.depth_ratio,
-            **{f"model_sha256_{k}": digests[k] for k in MODEL_FILES},
+            **{f"model_sha256_{k}": digests[k] for k in NETWORKS},
         })
         _write_manifest(tmp, cfg, f"sample:{case_name}:{mode}", {"sample": seed})
     return target

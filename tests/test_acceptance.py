@@ -133,7 +133,7 @@ def test_criterion_04_gradient_fidelity(desk):
         "resistance": (models.resistance, 16),
         "volume": (models.volume, 14),
         "waterline": (models.waterline, 14),
-        "classifier": (models.feasibility, 13),
+        "classifier": (models.classifier, 13),
     }
     h = 1e-4
     for name, (model, dim) in probes.items():
@@ -170,7 +170,7 @@ def test_criterion_05_surrogate_quality(desk):
     xf = held_stack.norm_shapes
     xc = np.vstack([xf, xb])
     yc = np.concatenate([np.ones(len(held)), np.zeros(len(fresh_bad))])
-    acc = accuracy(models.feasibility, xc, yc)
+    acc = accuracy(models.classifier, xc, yc)
 
     _report(5, r2 >= 0.95 and acc >= 0.90,
             f"held-out R2={r2:.4f} (>=0.95), classifier accuracy={acc:.4f} "

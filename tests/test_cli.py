@@ -473,8 +473,8 @@ def test_cli_train_worker_count_does_not_change_models(tmp_path):
         tree["manifest.txt"] = re.sub(rb"config_hash = \w+\n", b"", tree["manifest.txt"])
         trees[workers] = tree
     assert sorted(trees[1]) == sorted(
-        ["manifest.txt", "metrics.meta", *pipeline.MODEL_FILES.values(),
-         *(f"loss_{name}.csv" for name in pipeline.MODEL_FILES)])
+        ["manifest.txt", "metrics.meta", *(f"{name}.txt" for name in pipeline.NETWORKS),
+         *(f"loss_{name}.csv" for name in pipeline.NETWORKS)])
     assert trees[1] == trees[2]
 
 
@@ -490,7 +490,8 @@ def test_cli_train_failure_in_a_worker_is_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(neural, "_train", diverge)
     threads = threading.enumerate()
     assert main(["train", "--config", str(path), "--out", str(out)]) == 3
-    assert "diverged in a pool worker" in capsys.readouterr().err
+    # the first job in list order that fails, named
+    assert "error: resistance: diverged in a pool worker" in capsys.readouterr().err
     assert threading.enumerate() == threads      # every worker was joined
     assert not (out / "models").exists() and not (out / "models.tmp").exists()
     assert not (out / ".lock").exists()
@@ -512,6 +513,23 @@ def test_cli_sample_parses_only_the_models_its_mode_uses(tmp_path):
     assert main([*sample, "--mode", "full"]) == 1
     resistance.unlink()
     assert main([*sample, "--mode", "unguided"]) == 2
+
+
+def test_cli_sample_rejects_a_denoiser_header_its_network_contradicts(micro_models,
+                                                                     tmp_path, capsys):
+    """A header x_dim the network does not have: exit 1 naming the archive,
+    before any reverse step."""
+    out = tmp_path / "out"
+    shutil.copytree(micro_models[1], out)
+    archive = out / "models" / "denoiser.txt"
+    lines = archive.read_text().split("\n", 1)
+    head = lines[0].split()
+    head[1] = str(int(head[1]) + 1)
+    archive.write_text(" ".join(head) + "\n" + lines[1])
+    assert main(["sample", "--case", "kayak", "--mode", "unguided",
+                 "--config", str(micro_config(tmp_path)), "--out", str(out)]) == 1
+    assert "denoiser.txt" in capsys.readouterr().err
+    assert not (out / "samples").exists()
 
 
 def test_cli_sample_rejects_a_schedule_other_than_the_denoisers(micro_models,
@@ -563,7 +581,7 @@ def test_sample_parses_each_archive_once_per_process(micro_models, parses, tmp_p
     shutil.copytree(src, out_a)
     shutil.copytree(src, out_b)
     pipeline.cmd_sample(cfg, out_a, "kayak", "full")
-    assert sorted(parses) == sorted(pipeline.MODEL_FILES.values())
+    assert sorted(parses) == sorted(f"{name}.txt" for name in pipeline.NETWORKS)
     parses.clear()
     pipeline.cmd_sample(cfg, out_b, "kayak", "full")
     assert parses == []
@@ -582,17 +600,17 @@ def test_retrained_archive_is_parsed_again(micro_models, parses, tmp_path):
     for got, want in zip(after.weights + after.biases, fresh.weights + fresh.biases):
         assert np.array_equal(got, want)
     # the regressors were parsed again; classifier and denoiser bytes did not change
-    assert sorted(parses) == sorted([*pipeline.MODEL_FILES.values(), "resistance.txt",
-                                     "volume.txt", "waterline.txt"])
+    assert sorted(parses) == sorted([*(f"{name}.txt" for name in pipeline.NETWORKS),
+                                     "resistance.txt", "volume.txt", "waterline.txt"])
     # cmd_train read the dataset through the same memo
-    assert sorted(pipeline._PARSED) == sorted([*pipeline.MODEL_FILES, "dataset"])
+    assert sorted(pipeline._PARSED) == sorted([*pipeline.NETWORKS, "dataset"])
 
 
 def test_memoized_arrays_are_read_only(micro_models, parses):
     models = pipeline._load_models(micro_models[1])
     den = models.denoiser
     nets = (models.resistance, models.volume, models.waterline,
-            models.feasibility, den.mlp)
+            models.classifier, den.mlp)
     arrays = [den.cond_w, den.cond_b,
               *(arr for net in nets for arr in (*net.weights, *net.biases))]
     assert arrays and not any(arr.flags.writeable for arr in arrays)
@@ -610,7 +628,7 @@ def test_train_writes_a_loss_curve_per_network(micro_models, tmp_path):
              "waterline": cfg.waterline_steps, "classifier": cfg.classifier_steps,
              "denoiser": cfg.diffusion_steps}
     manifest = (models / "manifest.txt").read_text()
-    for name in pipeline.MODEL_FILES:
+    for name in pipeline.NETWORKS:
         with open(models / f"loss_{name}.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "loss"]

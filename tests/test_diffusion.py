@@ -20,11 +20,12 @@ def sched():
 
 def test_schedule_invariants(sched):
     assert sched.timesteps == 1000
-    abars = np.array([sched.alpha_bar(t) for t in range(1, 1001)])
+    abars = sched.alpha_bars
+    assert abars.shape == (1000,)
     assert np.all(np.diff(abars) < 0)
     assert abars[-1] < 0.01
-    assert all(0 < sched.alpha(t) < 1 for t in (1, 500, 1000))
-    assert sched.sigma(1) == pytest.approx(np.sqrt(sched.betas[0]))
+    assert all(0 < sched.alphas[t - 1] < 1 for t in (1, 500, 1000))
+    assert sched.sigmas[0] == pytest.approx(np.sqrt(sched.betas[0]))
 
 
 def test_schedule_rejects_bad_betas():
@@ -125,6 +126,31 @@ def test_denoiser_divergence_names_step(monkeypatch):
     assert len(backprops) == 3
 
 
+@pytest.mark.parametrize("value", [np.inf, 1e300], ids=["inf", "1e300"])
+def test_denoiser_batch_float32_cannot_hold_stops_at_its_step(monkeypatch, value):
+    """An infinite or out-of-range batch at step 3 stops training there,
+    before its backprop, and no numpy warning is raised on the way."""
+    steps = iter(range(10))
+    backprops = []
+    backward = MlpModel._backward
+    monkeypatch.setattr(MlpModel, "_backward",
+                        lambda self, *args: backprops.append(1) or backward(self, *args))
+
+    def draw_batch(rng, size):
+        x0, cond = _toy_batch(rng, size)
+        if next(steps) == 3:
+            x0[5] = value
+        return x0, cond
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingError, match="at step 3$"):
+            train_denoiser(draw_batch, x_dim=2, cond_dim=1, sched=linear_schedule(50),
+                           cfg=TrainConfig(batch_size=16, steps=10, seed=1),
+                           hidden=(8,), embed_dim=4)
+    assert len(backprops) == 3
+
+
 class _RawCond:
     """Conditioning stand-in for non-hull experiments."""
 
@@ -151,7 +177,7 @@ def test_training_improves_denoising(mini_stacked):
                             mini_stacked.shapes[idx][:, 1]])
     t = rng.integers(1, 101, 128)
     eps = rng.standard_normal(x0.shape)
-    ab = np.array([sched.alpha_bar(int(ti)) for ti in t])[:, None]
+    ab = sched.alpha_bars[t - 1][:, None]
     xt = np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps
     trained_loss = float(np.mean((model.predict_noise(xt, t, cond) - eps) ** 2))
     fresh = init_denoiser(13, 4, sched, hidden=(32, 32), embed_dim=8, seed=77)
@@ -271,6 +297,18 @@ def test_denoiser_archive_rejects_bad_blocks(tmp_path, old, new):
     save_denoiser(model, path)
     path.write_text(path.read_text().replace(old, new, 1))
     with pytest.raises(RepresentationError):
+        load_denoiser(path)
+
+
+def test_denoiser_header_must_agree_with_its_network(tmp_path):
+    """x_dim is read off the network; a header that says otherwise is not
+    loaded (it used to fail only at the first reverse step)."""
+    path = tmp_path / "denoiser.txt"
+    save_denoiser(init_denoiser(3, 2, linear_schedule(50), hidden=(4,),
+                                embed_dim=4), path)
+    assert load_denoiser(path).x_dim == 3
+    path.write_text(path.read_text().replace("denoiser 3 2 4 50", "denoiser 4 2 4 50", 1))
+    with pytest.raises(RepresentationError, match=r"header .*denoiser\.txt"):
         load_denoiser(path)
 
 

@@ -6,6 +6,9 @@ package's ``__init__.py`` is skipped: its imports are the package's
 public names.  A name imported only to register a pytest fixture would
 need an exception here; no module does that.
 
+The networks are named in three places that must agree: the pipeline's
+network table, ``GuidanceModels``' fields and ``GUIDANCE_NETS``.
+
 Every name ``hullforge/__init__.py`` exports also has a caller outside
 the tests: the name appears in another package module (not on its own
 ``def``/``class`` line), in ``scripts/`` or in ``benchmark/``.  A public
@@ -30,6 +33,8 @@ from pathlib import Path
 import pytest
 
 from hullforge.config import PipelineConfig, smoke_config
+from hullforge.diffusion import GUIDANCE_NETS, GuidanceModels
+from hullforge.pipeline import NETWORKS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hullforge"
@@ -158,3 +163,12 @@ def test_every_knob_has_a_second_value_in_use():
                for p in (ROOT / d).glob("*.py")]
     found = one_value_knobs([PipelineConfig(), smoke_config()], sources)
     assert sorted(set(found) - GUIDANCE_WEIGHTS) == []
+
+
+def test_network_tables_name_the_same_networks():
+    """The pipeline's network table (archive stems), GuidanceModels' fields
+    and the networks each guidance coefficient queries agree."""
+    names = [f.name for f in fields(GuidanceModels)]
+    assert sorted(NETWORKS) == sorted(names)
+    assert len(GUIDANCE_NETS) == 3            # gamma, lambda0, lambda1
+    assert all(nets and set(nets) <= set(names) - {"denoiser"} for nets in GUIDANCE_NETS)

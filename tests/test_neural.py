@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,20 @@ def test_training_divergence_names_step():
                         hidden=(8,))
 
 
+@pytest.mark.parametrize("column,value", [("x", np.inf), ("y", 1e300), ("x", np.nan)])
+def test_rows_float32_cannot_hold_fail_before_any_step(adam_dtypes, column, value):
+    """Checked before the float32 cast, so numpy never warns on the way."""
+    rng = np.random.default_rng(7)
+    rows = {"x": rng.normal(size=(64, 2)), "y": rng.normal(size=64)}
+    rows[column][17] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingError, match="before step 0"):
+            train_regressor(rows["x"], rows["y"],
+                            TrainConfig(batch_size=64, steps=50, seed=0), hidden=(8,))
+    assert adam_dtypes == []
+
+
 @pytest.mark.parametrize("train", [train_regressor, train_classifier])
 def test_training_steps_run_in_float32(adam_dtypes, train):
     rng = np.random.default_rng(8)
@@ -154,6 +170,20 @@ def test_input_gradient_constant_model_is_zero():
     model.weights[-1][:] = 0.0
     grad = model.input_gradient(rng.normal(size=(4, 3)))
     assert np.allclose(grad, 0.0)
+
+
+@pytest.mark.parametrize("head", ["linear", "sigmoid"])
+def test_input_gradient_is_backprops_input_gradient_bit_for_bit(head):
+    """Guidance gradients and training backprop share one reverse step."""
+    rng = np.random.default_rng(14)
+    model = init_mlp(5, (16, 16, 16), 1, head, rng)
+    x = rng.normal(size=(7, 5))
+    out = model.forward(x)
+    dout = np.ones((7, 1))
+    if head == "sigmoid":            # d(probability)/d(logit)
+        dout = dout * out * (1.0 - out)
+    _, dinput = model._backward(model._forward_cached(x), dout)
+    assert np.array_equal(model.value_and_input_gradient(x)[1], dinput)
 
 
 @pytest.mark.parametrize("head", ["linear", "sigmoid"])
