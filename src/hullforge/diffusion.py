@@ -15,7 +15,6 @@ Guidance gradients are evaluated on the normalized parameter scale, and
 the volume term lives on the log10 scale where the volume regressor is
 trained.  The Froude number fed to the resistance model is recomputed
 every step from the waterline regressor via F_n = U / sqrt(g WL LOA).
-``GUIDANCE_NETS`` names the networks each coefficient queries.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ everywhere, so guidance gradients never die); the output head is linear
 for regression or logistic for classification, and it alone sets the
 training loss (mean-squared error or binary cross-entropy).  Forward passes
 run through ``MlpModel._forward_cached``; backward passes, training's and
-the input gradients that guide sampling, through ``_reverse_layer``.
+the input gradients that guide sampling, share one tanh step.
 
 Every network, the denoiser too, trains through ``fit``, the one
 minibatch-Adam loop, bit-reproducible for a fixed seed and BLAS thread
@@ -40,6 +40,14 @@ def _sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _through_tanh(delta, act) -> None:
+    """The tanh reverse step, in place: ``delta *= 1 - act**2``.  Callers
+    rebind ``delta`` to the new layer's array first, so the old one is
+    freed before ``slope`` exists (pool threads' heaps stay untrimmed)."""
+    slope = act ** 2
+    delta *= np.subtract(1.0, slope, out=slope)
 
 
 @dataclass
@@ -114,21 +122,14 @@ class MlpModel:
             out = _sigmoid(out)
             delta = delta * out * (1.0 - out)
         for i in range(len(self.weights) - 1, -1, -1):
-            delta = self._reverse_layer(i, acts, delta)
+            delta = delta @ self.weights[i].T
+            if i > 0:
+                _through_tanh(delta, acts[i])
         return out[:, 0], delta
 
     def input_gradient(self, x) -> np.ndarray:
         """The gradient half of value_and_input_gradient."""
         return self.value_and_input_gradient(x)[1]
-
-    def _reverse_layer(self, i, acts, delta):
-        """dL/d(layer i's input) from dL/d(its pre-activation output): back
-        through ``weights[i]``, then through the tanh that made that input."""
-        delta = delta @ self.weights[i].T
-        if i > 0:                           # tanh' = 1 - a^2, in place
-            slope = acts[i] ** 2
-            delta *= np.subtract(1.0, slope, out=slope)
-        return delta
 
     def _backward(self, acts, dout):
         """The gradients of ``params()`` and of the input, given
@@ -139,7 +140,9 @@ class MlpModel:
         for i in range(len(self.weights) - 1, -1, -1):
             dws[i] = acts[i].T @ delta
             dbs[i] = delta.sum(axis=0)
-            delta = self._reverse_layer(i, acts, delta)
+            delta = delta @ self.weights[i].T
+            if i > 0:
+                _through_tanh(delta, acts[i])
         return [*dws, *dbs], delta
 
 
@@ -237,8 +240,7 @@ def fit(model, step, cfg: TrainConfig, rng) -> TrainResult:
 
 
 def representable(arr) -> bool:
-    """Whether every value of ``arr`` is finite in TRAIN_DTYPE; casting one
-    that is not (NaN, inf, or past float32's largest) warns."""
+    """Whether every value of ``arr`` is finite in TRAIN_DTYPE; casting others warns."""
     return bool(np.all(np.abs(arr) <= np.finfo(TRAIN_DTYPE).max))
 
 
