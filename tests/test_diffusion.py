@@ -102,34 +102,10 @@ def test_toy_conditional_recovery():
     assert np.mean(dist <= 3 * 0.2 * np.sqrt(2)) >= 0.95
 
 
-def test_denoiser_divergence_names_step(monkeypatch):
-    """A NaN batch at step 3 stops training there, before its backprop,
-    and no numpy warning is raised on the way."""
-    steps = iter(range(10))
-    backprops = []
-    backward = MlpModel._backward
-    monkeypatch.setattr(MlpModel, "_backward",
-                        lambda self, *args: backprops.append(1) or backward(self, *args))
-
-    def draw_batch(rng, size):
-        x0, cond = _toy_batch(rng, size)
-        if next(steps) == 3:
-            x0[5] = np.nan
-        return x0, cond
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(TrainingError, match="at step 3$"):
-            train_denoiser(draw_batch, x_dim=2, cond_dim=1, sched=linear_schedule(50),
-                           cfg=TrainConfig(batch_size=16, steps=10, seed=1),
-                           hidden=(8,), embed_dim=4)
-    assert len(backprops) == 3
-
-
-@pytest.mark.parametrize("value", [np.inf, 1e300], ids=["inf", "1e300"])
-def test_denoiser_batch_float32_cannot_hold_stops_at_its_step(monkeypatch, value):
-    """An infinite or out-of-range batch at step 3 stops training there,
-    before its backprop, and no numpy warning is raised on the way."""
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "1e300"])
+def test_denoiser_divergence_names_step(monkeypatch, value):
+    """A NaN batch, or one float32 cannot hold, at step 3 stops training
+    there, before its backprop, and no numpy warning is raised on the way."""
     steps = iter(range(10))
     backprops = []
     backward = MlpModel._backward
@@ -215,17 +191,23 @@ def test_guidance_off_equivalence_bitwise(mini_stacked):
     assert np.array_equal(guided, plain)
 
 
-def test_missing_guidance_model_is_configuration_error(mini_stacked):
+@pytest.mark.parametrize("coefs,missing", [((0.0, 0.0, 0.0), "denoiser"),
+                                           ((0.2, 0.0, 0.0), "classifier"),
+                                           ((0.0, 1.0, 0.0), "resistance, waterline"),
+                                           ((0.0, 0.0, 1.0), "volume")],
+                         ids=["unguided", "gamma", "lambda0", "lambda1"])
+def test_missing_guidance_model_is_configuration_error(coefs, missing):
+    """Every sample needs the denoiser; a positive coefficient, the
+    networks GUIDANCE_NETS lists for it.  The error names them."""
     sched = linear_schedule(50)
-    model = train_diffusion(mini_stacked, sched,
-                            TrainConfig(batch_size=32, steps=50, seed=2),
-                            hidden=(16,), embed_dim=8).model
+    den = None if missing == "denoiser" else init_denoiser(13, 4, sched, hidden=(16,),
+                                                           embed_dim=8)
     cond = ConditioningVector(tstar=0.4, log_v=-2.5, beam_ratio=0.2,
                               depth_ratio=0.1)
-    with pytest.raises(ConfigurationError):
-        sample_guided(GuidanceModels(denoiser=model), cond, speed=5.0,
-                      loa=50.0, n=2, gamma=0.2, lambda0=0.0, lambda1=0.0,
-                      sched=sched, seed=1)
+    gamma, lambda0, lambda1 = coefs
+    with pytest.raises(ConfigurationError, match=f"needs the {missing} network"):
+        sample_guided(GuidanceModels(denoiser=den), cond, speed=5.0, loa=50.0, n=2,
+                      gamma=gamma, lambda0=lambda0, lambda1=lambda1, sched=sched, seed=1)
 
 
 def test_guidance_terms_change_samples(mini_stacked, mini_normalizer):
