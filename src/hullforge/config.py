@@ -63,7 +63,8 @@ PLANE_NZ = 48
 # Network and diffusion shapes: every network has HIDDEN_LAYERS tanh layers
 # of HIDDEN_UNITS units and trains by minibatch Adam on BATCH_SIZE rows at
 # LEARNING_RATE; the denoiser embeds timestep and conditioning in EMBED_DIM
-# dimensions, under a linear beta schedule stated for 1000 steps.
+# dimensions, under a linear beta schedule stated for 1000 steps.  The
+# sampler walks at most SAMPLE_STEPS evenly spaced steps of that schedule.
 HIDDEN_LAYERS = 4
 HIDDEN_UNITS = 256
 HIDDEN = (HIDDEN_UNITS,) * HIDDEN_LAYERS
@@ -73,6 +74,7 @@ EMBED_DIM = 32
 TIMESTEPS = 1000
 BETA_START = 1e-4
 BETA_END = 0.02
+SAMPLE_STEPS = 100
 
 
 @dataclass(frozen=True)

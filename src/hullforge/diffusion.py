@@ -3,13 +3,20 @@
 The denoiser is a plain MLP over [x_t, e] where e is a sinusoidal timestep
 embedding summed with a learned linear embedding of the conditioning
 vector; its sizes are read off those weights.  The noise schedule holds
-per-step arrays (step t at index t - 1).  Sampling follows the guided
-update literally, including the (1 - gamma) attenuation of the noise term
-and the classifier gradient added outside the sigma_t scaling:
+per-step arrays (step t at index t - 1).  Sampling walks min(T, SAMPLE_STEPS)
+evenly spaced steps T = t_1 > ... > t_K = 1 of the trained schedule.  Each
+step from t to the next walked step s (s = 0 after the last, abar_0 = 1) is
+the ancestral eta = 1 step with a' = abar_t / abar_s and the posterior
+variance var = (1 - abar_s) / (1 - abar_t) (1 - a'), so the last step
+draws no noise.  The (1 - gamma) attenuation of the noise term stays, and
+every guidance term is scaled by that step's variance:
 
-    x_{t-1} = (x_t - (1-a_t)/sqrt(1-abar_t) eps_hat) / sqrt(a_t)
-              + sigma_t Z (1-gamma) + gamma grad f
-              - lambda0 grad P_ct - lambda1 grad (V - P_v)^2
+    x_s = (x_t - (1-a')/sqrt(1-abar_t) eps_hat) / sqrt(a')
+          + sqrt(var) Z (1-gamma)
+          + var (gamma grad f - lambda0 grad P_ct - lambda1 grad (V - P_v)^2)
+
+With stride 1 (T <= SAMPLE_STEPS) a' is alpha_t and var the DDPM
+posterior variance (1 - abar_{t-1}) / (1 - abar_t) beta_t.
 
 Guidance gradients are evaluated on the normalized parameter scale, and
 the volume term lives on the log10 scale where the volume regressor is
@@ -25,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import (BETA_END, BETA_START, COND_TSTAR_RANGE, EMBED_DIM, HIDDEN,
-                     TIMESTEPS, TestCase)
+                     SAMPLE_STEPS, TIMESTEPS, TestCase)
 from .dataset import _interp_marks, surrogate_rows
 from .errors import (ConfigurationError, DomainError, RepresentationError,
                      TrainingError)
@@ -258,11 +265,29 @@ def guidance_nets(gamma: float, lambda0: float, lambda1: float) -> list:
                           if coef > 0 for net in nets)]
 
 
+def strided_steps(sched: NoiseSchedule):
+    """The sampler's walk: (t, a', var) arrays, one entry per reverse step.
+
+    t holds min(T, SAMPLE_STEPS) evenly spaced timesteps from T down to 1.
+    The step from t to the next walked step s (s = 0 after the last, where
+    abar_0 = 1) has a' = abar_t / abar_s and the eta = 1 posterior variance
+    var = (1 - abar_s) / (1 - abar_t) (1 - a'), which is 0 on the last step.
+    """
+    T = sched.timesteps
+    k = min(T, SAMPLE_STEPS)
+    ts = T - (T - 1) * np.arange(k) // max(k - 1, 1)
+    abar_t = sched.alpha_bars[ts - 1]
+    abar_s = np.append(abar_t[1:], 1.0)
+    alphas = abar_t / abar_s
+    return ts, alphas, (1.0 - abar_s) / (1.0 - abar_t) * (1.0 - alphas)
+
+
 def sample_guided(models: GuidanceModels, cond: ConditioningVector,
                   speed: float, loa: float, n: int, *, gamma: float,
                   lambda0: float, lambda1: float, sched: NoiseSchedule,
                   seed: int) -> np.ndarray:
-    """Reverse diffusion with feasibility / resistance / volume guidance.
+    """Reverse diffusion with feasibility / resistance / volume guidance,
+    along ``strided_steps(sched)``.
 
     Returns (n, x_dim) raw normalized design vectors; callers denormalize
     and validate.  With all coefficients zero this is exactly unguided
@@ -284,22 +309,22 @@ def sample_guided(models: GuidanceModels, cond: ConditioningVector,
     c = cond.as_array()
     x = rng.standard_normal((n, den.x_dim))
     tcol = np.full((n, 1), cond.tstar)
-    for t in range(sched.timesteps, 0, -1):
+    ts, alphas, variances = strided_steps(sched)
+    for t, a, ab_t, var in zip(ts.tolist(), alphas, sched.alpha_bars[ts - 1], variances):
         z = rng.standard_normal(x.shape) if t > 1 else np.zeros_like(x)
         eps_hat = den.predict_noise(x, t, c)
-        a_t = sched.alphas[t - 1]
-        ab_t = sched.alpha_bars[t - 1]
-        mean = (x - (1.0 - a_t) / math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(a_t)
-        step = mean + sched.sigmas[t - 1] * z * (1.0 - gamma)
+        mean = (x - (1.0 - a) / math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(a)
+        step = mean + math.sqrt(var) * z * (1.0 - gamma)
         if gamma > 0:
-            step += gamma * models.classifier.input_gradient(x)
+            step += var * gamma * models.classifier.input_gradient(x)
         if lambda0 > 0:
             inp = surrogate_rows(models.waterline, x, cond.tstar, speed, loa)
-            step -= lambda0 * models.resistance.input_gradient(inp)[:, :den.x_dim]
+            step -= var * lambda0 * models.resistance.input_gradient(inp)[:, :den.x_dim]
         if lambda1 > 0:
             v_hat, grad_v = models.volume.value_and_input_gradient(
                 np.hstack([x, tcol]))
-            step -= lambda1 * 2.0 * (v_hat - cond.log_v)[:, None] * grad_v[:, :den.x_dim]
+            step -= (var * lambda1 * 2.0 * (v_hat - cond.log_v)[:, None]
+                     * grad_v[:, :den.x_dim])
         x = step
     return x
 

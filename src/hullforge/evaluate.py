@@ -17,7 +17,7 @@ import numpy as np
 from .config import PLANE_NX, PLANE_NZ, THETA_NODES, TestCase
 from .dataset import surrogate_total_resistance
 from .errors import (DegeneracyError, DomainError, FeasibilityError,
-                     RepresentationError)
+                     QuadratureAccuracyWarning, RepresentationError)
 from .geometry import HullParams, centerplane_slopes, measure_at, validate
 from .hydro import FlowCondition, friction_resistance, michell_wave_resistance
 from .neural import MlpModel
@@ -32,7 +32,8 @@ class AuditTable:
     """The audits of a batch, on HullTable's convention.
 
     ``feasible`` covers every hull in input order; the other columns cover
-    the feasible hulls only, in row order.
+    the feasible hulls only, in row order.  ``quadrature_warnings`` counts
+    the QuadratureAccuracyWarnings the batch's Michell audits raised.
     """
 
     feasible: np.ndarray        # (n,) bool
@@ -41,6 +42,7 @@ class AuditTable:
     depth_err: np.ndarray
     surrogate_rt: np.ndarray
     simulated_rt: np.ndarray
+    quadrature_warnings: int = 0
 
 
 AUDIT_COLUMNS = ("vol_err", "beam_err", "depth_err", "surrogate_rt", "simulated_rt")
@@ -65,10 +67,8 @@ def audit_one(shape_norm, case: TestCase, resistance: MlpModel,
     vol_err = (vol * case.loa**3 - case.volume) / case.volume
 
     cond = FlowCondition(speed=case.speed, loa=case.loa, tstar=tstar)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        slopes = centerplane_slopes(params, tstar, plane_nx, plane_nz)
-        rw = michell_wave_resistance(slopes, cond, n_theta=n_theta)
+    slopes = centerplane_slopes(params, tstar, plane_nx, plane_nz)
+    rw = michell_wave_resistance(slopes, cond, n_theta=n_theta)
     rf = friction_resistance(cond, sa, wl)
     simulated = rw + rf
 
@@ -83,23 +83,35 @@ def audit_samples(shapes_norm, case: TestCase, resistance: MlpModel,
 
     A hull the geometry or physics rejects (domain, feasibility or
     representation error) is recorded as infeasible; any other exception
-    is a bug and propagates.
+    is a bug and propagates.  Every QuadratureAccuracyWarning is counted,
+    not shown; other warnings pass through.
     """
     audits = []
-    for row in np.atleast_2d(np.asarray(shapes_norm, dtype=float)):
-        try:
-            audits.append(audit_one(row, case, resistance, waterline, normalizer, **kw))
-        except (DomainError, FeasibilityError, RepresentationError):
-            audits.append(None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", QuadratureAccuracyWarning)
+        for row in np.atleast_2d(np.asarray(shapes_norm, dtype=float)):
+            try:
+                audits.append(audit_one(row, case, resistance, waterline, normalizer,
+                                        **kw))
+            except (DomainError, FeasibilityError, RepresentationError):
+                audits.append(None)
+    quadrature = 0
+    for w in caught:
+        if issubclass(w.category, QuadratureAccuracyWarning):
+            quadrature += 1
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
     values = np.array([a for a in audits if a is not None], dtype=float)
     return AuditTable(np.array([a is not None for a in audits], dtype=bool),
-                      *values.reshape(-1, len(AUDIT_COLUMNS)).T.copy())
+                      *values.reshape(-1, len(AUDIT_COLUMNS)).T.copy(),
+                      quadrature_warnings=quadrature)
 
 
 def audit_stats(audits: AuditTable) -> dict:
-    """Feasibility rate, error moments, and the share of all hulls that are
-    feasible and within VOLUME_BAND of the target volume, in the column
-    order of the evaluation summary."""
+    """Feasibility rate, error moments, the share of all hulls that are
+    feasible and within VOLUME_BAND of the target volume, and the count of
+    quadrature warnings, in the column order of the evaluation summary."""
     n = audits.feasible.size
     stats = {"n": n, "feasibility_rate": audits.vol_err.size / n if n else 0.0}
     for name in ("vol_err", "beam_err", "depth_err"):
@@ -108,6 +120,7 @@ def audit_stats(audits: AuditTable) -> dict:
         stats[f"{name}_std"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
     in_band = np.count_nonzero(np.abs(audits.vol_err) <= VOLUME_BAND)
     stats["volume_in_band"] = in_band / n if n else 0.0
+    stats["quadrature_warnings"] = audits.quadrature_warnings
     return stats
 
 

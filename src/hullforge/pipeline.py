@@ -30,7 +30,7 @@ from .dataset import (build_dataset, classifier_rows, fit_normalizer,
                       write_meta)
 from .diffusion import (ConditioningVector, GuidanceModels, guidance_nets,
                         linear_schedule, load_denoiser, sample_guided,
-                        save_denoiser, train_diffusion)
+                        save_denoiser, strided_steps, train_diffusion)
 from .errors import ConfigurationError, DependencyError, TrainingError
 from .evaluate import (AUDIT_COLUMNS, TOLERANCE_BANDS, audit_samples,
                        audit_stats, compare, fit_pca2, kde)
@@ -432,6 +432,9 @@ def cmd_sample(cfg: PipelineConfig, out_dir, case_name: str, mode: str = "full",
             "gamma": gamma, "lambda0": lam0, "lambda1": lam1,
             "cond_tstar": cond.tstar, "cond_log_v": cond.log_v,
             "cond_beam_ratio": cond.beam_ratio, "cond_depth_ratio": cond.depth_ratio,
+            "sample_steps": strided_steps(sched)[0].size,
+            # normalized coordinates that denormalize clips to the box edge
+            "out_of_box_share": float(np.mean(np.abs(vectors) > 1.0)),
             **{f"model_sha256_{k}": digests[k] for k in NETWORKS},
         })
         _write_manifest(tmp, cfg, f"sample:{case_name}:{mode}", {"sample": seed})
@@ -528,7 +531,8 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir, case_name: str) -> Path:
         write_csv(tmp / "summary.csv",
                   ("arm", "n", "feasibility_rate", "vol_err_mean", "vol_err_std",
                    "beam_err_mean", "beam_err_std", "depth_err_mean",
-                   "depth_err_std", "volume_in_band_5pct"), summary_rows)
+                   "depth_err_std", "volume_in_band_5pct", "quadrature_warnings"),
+                  summary_rows)
 
         comparison_rows = []
         for mode in SAMPLE_MODES:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hullforge.cli import main
+from hullforge.config import load_config
 from hullforge.geometry import HullParams, SHAPE_NAMES
 from hullforge.neural import Adam
 
@@ -91,3 +93,52 @@ def mini_stacked(mini_table, mini_normalizer):
     from hullforge.dataset import stack_records
 
     return stack_records(mini_table, np.arange(64), mini_normalizer)
+
+
+def micro_config(tmp_path, n_hulls=4):
+    """A config file for a pipeline run in seconds: tiny networks, a
+    40-step schedule, 6 samples per batch."""
+    path = tmp_path / "micro.cfg"
+    path.write_text(f"""
+[dataset]
+n_hulls = {n_hulls}
+seed = 77
+rows_per_hull = 16
+
+[michell]
+theta_nodes = 96
+plane_nx = 128
+plane_nz = 24
+
+[network]
+hidden_layers = 1
+hidden_units = 16
+batch_size = 16
+resistance_steps = 40
+volume_steps = 30
+waterline_steps = 30
+classifier_steps = 30
+diffusion_steps = 40
+
+[schedule]
+timesteps = 40
+
+[sampling]
+n_samples = 6
+
+[optimize]
+population = 4
+generations = 2
+""")
+    return path
+
+
+@pytest.fixture(scope="session")
+def micro_models(tmp_path_factory):
+    """The micro config and an output directory holding its dataset and models."""
+    root = tmp_path_factory.mktemp("micro")
+    cfg = micro_config(root)
+    out = root / "out"
+    assert main(["gen-dataset", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    return load_config(cfg), out

@@ -23,48 +23,12 @@ from hullforge.dataset import read_dataset_csv, read_meta
 from hullforge.errors import (ConfigurationError, RepresentationError,
                               TrainingError)
 from hullforge.geometry import HULL_FIELDS
-from conftest import malform_archive
+from conftest import malform_archive, micro_config
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "hullforge.cli", *args],
                           capture_output=True, text=True)
-
-
-def micro_config(tmp_path, n_hulls=4):
-    path = tmp_path / "micro.cfg"
-    path.write_text(f"""
-[dataset]
-n_hulls = {n_hulls}
-seed = 77
-rows_per_hull = 16
-
-[michell]
-theta_nodes = 96
-plane_nx = 128
-plane_nz = 24
-
-[network]
-hidden_layers = 1
-hidden_units = 16
-batch_size = 16
-resistance_steps = 40
-volume_steps = 30
-waterline_steps = 30
-classifier_steps = 30
-diffusion_steps = 40
-
-[schedule]
-timesteps = 40
-
-[sampling]
-n_samples = 6
-
-[optimize]
-population = 4
-generations = 2
-""")
-    return path
 
 
 # -- config file handling -----------------------------------------------------
@@ -548,17 +512,6 @@ def test_cli_sample_rejects_a_schedule_other_than_the_denoisers(micro_models,
 
 
 # -- parsed-model memo ----------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def micro_models(tmp_path_factory):
-    """The micro config and an output directory holding its dataset and models."""
-    root = tmp_path_factory.mktemp("micro")
-    cfg = micro_config(root)
-    out = root / "out"
-    assert main(["gen-dataset", "--config", str(cfg), "--out", str(out)]) == 0
-    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-    return load_config(cfg), out
-
 
 @pytest.fixture
 def parses(monkeypatch):

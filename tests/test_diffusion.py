@@ -1,15 +1,21 @@
+import csv
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
-from hullforge.diffusion import (ConditioningVector, GuidanceModels,
-                                 NoiseSchedule, forward_noise, init_denoiser,
-                                 linear_schedule, load_denoiser, sample_guided,
-                                 save_denoiser, train_denoiser, train_diffusion)
+from hullforge.config import SAMPLE_STEPS
+from hullforge.dataset import read_meta
+from hullforge.diffusion import (ConditioningVector, DenoiserModel,
+                                 GuidanceModels, NoiseSchedule, forward_noise,
+                                 init_denoiser, linear_schedule, load_denoiser,
+                                 sample_guided, save_denoiser, strided_steps,
+                                 train_denoiser, train_diffusion)
 from hullforge.errors import (ConfigurationError, DomainError,
                              RepresentationError, TrainingError)
 from hullforge.neural import MlpModel, TrainConfig, init_mlp
+from hullforge.pipeline import SAMPLE_MODES, cmd_evaluate, cmd_optimize, cmd_sample
 from conftest import MALFORMED_BLOCKS, malform_archive
 
 
@@ -228,6 +234,106 @@ def test_guidance_terms_change_samples(mini_stacked, mini_normalizer):
     nudged = sample_guided(models, cond, 5.0, 50.0, 4, gamma=0.1, lambda0=0.1,
                            lambda1=0.1, sched=sched, seed=3)
     assert not np.allclose(plain, nudged)
+
+
+@pytest.mark.parametrize("timesteps", [50, 100, 101, 250, 1000])
+def test_sampler_runs_the_denoiser_once_per_walked_step(timesteps, monkeypatch):
+    """The walk starts at T, ends at 1, strictly decreases and has
+    min(T, SAMPLE_STEPS) steps, only the last with zero variance; the
+    sampler's cost is one denoiser call per walked step."""
+    sched = linear_schedule(timesteps)
+    den = init_denoiser(13, 4, sched, hidden=(16,), embed_dim=8)
+    calls = []
+    real = DenoiserModel.predict_noise
+
+    def counted(self, x, t, cond):
+        calls.append(t)
+        return real(self, x, t, cond)
+    monkeypatch.setattr(DenoiserModel, "predict_noise", counted)
+    cond = ConditioningVector(tstar=0.4, log_v=-2.5, beam_ratio=0.2,
+                              depth_ratio=0.1)
+    sample_guided(GuidanceModels(denoiser=den), cond, 1.0, 1.0, 3, gamma=0.0,
+                  lambda0=0.0, lambda1=0.0, sched=sched, seed=1)
+    ts, alphas, variances = strided_steps(sched)
+    assert calls == ts.tolist()
+    assert len(calls) == alphas.size == variances.size == min(timesteps, SAMPLE_STEPS)
+    assert (calls[0], calls[-1]) == (timesteps, 1)
+    assert np.all(np.diff(calls) < 0)
+    assert variances[-1] == 0.0 and np.all(variances[:-1] > 0)
+
+
+def test_stride_one_walk_is_the_ddpm_posterior():
+    """With T <= SAMPLE_STEPS every trained step is walked, a' is alpha_t
+    and the variance is (1 - abar_{t-1}) / (1 - abar_t) beta_t."""
+    sched = linear_schedule(50)
+    ts, alphas, variances = strided_steps(sched)
+    assert ts.tolist() == list(range(50, 0, -1))
+    abar_prev = np.append(1.0, sched.alpha_bars[:-1])[ts - 1]
+    posterior = (1 - abar_prev) / (1 - sched.alpha_bars[ts - 1]) * sched.betas[ts - 1]
+    np.testing.assert_allclose(alphas, 1 - sched.betas[ts - 1], rtol=1e-12)
+    np.testing.assert_allclose(variances, posterior, rtol=1e-9, atol=1e-15)
+
+
+class _ConstantGuide:
+    """A guidance network stub: each of its terms contributes ``scale`` per
+    coordinate before its coefficient and the step's variance."""
+
+    def __init__(self, scale, log_v):
+        self.scale, self.log_v = scale, log_v
+
+    def input_gradient(self, x):
+        return np.full(np.shape(x), self.scale)
+
+    def predict(self, x):
+        return np.ones(len(x))
+
+    def value_and_input_gradient(self, x):
+        return np.full(len(x), self.log_v + self.scale / 2), np.ones(np.shape(x))
+
+
+class _ZeroNoise:
+    x_dim, timesteps = 2, 250
+
+    def predict_noise(self, x, t, cond):
+        return np.zeros_like(x)
+
+
+def test_guidance_terms_are_scaled_by_each_steps_variance():
+    """With a zero-noise denoiser each step maps x to x / sqrt(a'), so the
+    gap between unit and zero guidance gradients follows
+    d <- d / sqrt(a') + var (gamma - lambda0 - lambda1) along the walk."""
+    sched = linear_schedule(_ZeroNoise.timesteps)
+    cond = ConditioningVector(tstar=0.4, log_v=-2.5, beam_ratio=0.2,
+                              depth_ratio=0.1)
+    coefs = dict(gamma=0.1, lambda0=0.2, lambda1=0.3)
+
+    def run(scale):
+        guide = _ConstantGuide(scale, cond.log_v)
+        models = GuidanceModels(_ZeroNoise(), guide, guide, guide, guide)
+        return sample_guided(models, cond, 5.0, 50.0, 3, **coefs, sched=sched, seed=4)
+    gap = 0.0
+    for a, var in zip(*strided_steps(sched)[1:]):
+        gap = gap / np.sqrt(a) + var * (coefs["gamma"] - coefs["lambda0"] - coefs["lambda1"])
+    np.testing.assert_allclose(run(1.0) - run(0.0), gap, rtol=1e-9)
+
+
+def test_sampler_health_counters_reach_the_artifacts(micro_models, tmp_path):
+    """provenance.meta records the walked step count and the share of
+    normalized coordinates outside [-1, 1]; summary.csv counts each arm's
+    quadrature warnings."""
+    cfg, src = micro_models
+    out = tmp_path / "out"
+    shutil.copytree(src, out)
+    for mode in SAMPLE_MODES:
+        cmd_sample(cfg, out, "kayak", mode)
+        meta = read_meta(out / "samples" / "kayak" / mode / "provenance.meta")
+        assert int(meta["sample_steps"]) == min(cfg.timesteps, SAMPLE_STEPS)
+        assert 0.0 <= float(meta["out_of_box_share"]) <= 1.0
+    cmd_optimize(cfg, out, "kayak")
+    with open(cmd_evaluate(cfg, out, "kayak") / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["arm"] for r in rows] == [*SAMPLE_MODES, "nsga2"]
+    assert all(int(r["quadrature_warnings"]) >= 0 for r in rows)
 
 
 def test_denoiser_archive_roundtrip(tmp_path, mini_stacked):

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hullforge.config import TestCase
-from hullforge.errors import DegeneracyError, DomainError
+from hullforge.errors import (DegeneracyError, DomainError,
+                             QuadratureAccuracyWarning)
 from hullforge.evaluate import (AUDIT_COLUMNS, AuditTable, audit_one,
                                 audit_samples, audit_stats, compare, fit_pca2,
                                 kde)
@@ -268,3 +270,25 @@ def test_compare_without_feasible_nsga_hull():
     assert report.counts == {0.01: 1, 0.05: 2, 0.10: 3}
     assert report.sample_min_rt == 8.0
     assert report.delta_rt is None
+
+
+def test_audit_samples_counts_quadrature_warnings(audit_env):
+    """The Michell self-check warnings of a batch are counted in its table
+    and its summary row, not raised and not lost."""
+    normalizer, resistance, waterline = audit_env
+    rows = [normalizer.normalize(make_hull(40.0, beam_ratio=b).shape)
+            for b in (0.22, 0.26, 0.30)]
+    case = _case_for(make_hull(40.0))
+    kw = dict(n_theta=32, plane_nx=32, plane_nz=8)   # coarse enough to warn
+    with warnings.catch_warnings(record=True) as direct:
+        warnings.simplefilter("always")
+        for x in rows:
+            audit_one(x, case, resistance, waterline, normalizer, **kw)
+    want = sum(issubclass(w.category, QuadratureAccuracyWarning) for w in direct)
+    assert want > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        audits = audit_samples(np.vstack(rows), case, resistance, waterline,
+                               normalizer, **kw)
+    assert audits.quadrature_warnings == want
+    assert audit_stats(audits)["quadrature_warnings"] == want
